@@ -6,8 +6,6 @@
 //! ISR GC policy's Equation 2), and whether a page has received an intra-page
 //! update (which drives the paper's degraded data movement in GC).
 
-use std::collections::BTreeMap;
-
 use ipu_flash::{BlockAddr, Nanos};
 
 use crate::types::BlockLevel;
@@ -37,13 +35,23 @@ pub struct BlockMeta {
     /// term of the ISR score).
     sum_written_valid: u128,
     /// Valid subpages sitting in never-updated pages (the ISR J-term's
-    /// population, and the numerator of its upper bound).
+    /// population, and the factor of its Jensen bound).
     j_count: u32,
     /// Bit per subpage slot (page-major): set iff the subpage is valid AND
     /// its page was never updated — exactly the J-term population, so the ISR
     /// scorer walks set bits instead of scanning every slot. `j_count` is its
     /// popcount.
     cold_mask: Vec<u64>,
+    /// Sum of `sub_written_ns` over the `cold_mask` bits (the J-term
+    /// population's mean age feeds the ISR score's O(1) Jensen bound).
+    sum_written_cold: u128,
+    /// Latest write timestamp recorded this erase cycle. Only ever raised, so
+    /// it bounds every valid subpage's timestamp from above.
+    newest_written: Nanos,
+    /// Whether the block sits in one of the FTL's active (open) rings.
+    /// Maintained by the core alongside ring membership so GC candidate
+    /// filters are O(1) instead of a ring scan.
+    active: bool,
 }
 
 impl BlockMeta {
@@ -67,6 +75,9 @@ impl BlockMeta {
             sum_written_valid: 0,
             j_count: 0,
             cold_mask: vec![0; slots.div_ceil(64)],
+            sum_written_cold: 0,
+            newest_written: 0,
+            active: false,
         }
     }
 
@@ -85,11 +96,18 @@ impl BlockMeta {
     fn mark_page_updated(&mut self, page: u32) {
         if !self.page_updated[page as usize] {
             self.page_updated[page as usize] = true;
-            self.j_count -= self.page_valid_count(page);
             // A page's slots never straddle a mask word (64 is a multiple of
             // every supported subpages-per-page), so one word edit suffices.
+            // Until now the page's cold bits were exactly its valid bits.
             let start = (page * self.subpages_per_page) as usize;
             let span = (1u64 << self.subpages_per_page) - 1;
+            let mut bits = (self.cold_mask[start / 64] >> (start % 64)) & span;
+            self.j_count -= bits.count_ones();
+            while bits != 0 {
+                let slot = start + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.sum_written_cold -= self.sub_written_ns[slot] as u128;
+            }
             self.cold_mask[start / 64] &= !(span << (start % 64));
         }
     }
@@ -109,6 +127,7 @@ impl BlockMeta {
             self.mark_page_updated(page);
         }
         let t = now.max(1);
+        self.newest_written = self.newest_written.max(t);
         let in_j = !self.page_updated[page as usize];
         for s in start..start + count {
             let slot = self.slot(page, s);
@@ -119,6 +138,7 @@ impl BlockMeta {
             self.sum_written_valid += t as u128;
             if in_j {
                 self.j_count += 1;
+                self.sum_written_cold += t as u128;
                 self.cold_mask[slot / 64] |= 1u64 << (slot % 64);
             }
         }
@@ -135,6 +155,7 @@ impl BlockMeta {
             self.sum_written_valid -= self.sub_written_ns[slot] as u128;
             if !self.page_updated[page as usize] {
                 self.j_count -= 1;
+                self.sum_written_cold -= self.sub_written_ns[slot] as u128;
                 self.cold_mask[slot / 64] &= !(1u64 << (slot % 64));
             }
         }
@@ -159,12 +180,14 @@ impl BlockMeta {
         }
         let slot = self.slot(page, subpage);
         self.sub_written_ns[slot] = written_ns;
+        self.newest_written = self.newest_written.max(written_ns);
         if !self.mask_bit(slot) {
             self.valid_mask[slot / 64] |= 1u64 << (slot % 64);
             self.valid_count += 1;
             self.sum_written_valid += written_ns as u128;
             if !self.page_updated[page as usize] {
                 self.j_count += 1;
+                self.sum_written_cold += written_ns as u128;
                 self.cold_mask[slot / 64] |= 1u64 << (slot % 64);
             }
         }
@@ -205,6 +228,31 @@ impl BlockMeta {
         self.j_count
     }
 
+    /// Sum of write timestamps over the J-term population (cached).
+    #[inline]
+    pub(crate) fn sum_written_cold(&self) -> u128 {
+        self.sum_written_cold
+    }
+
+    /// Latest write timestamp recorded this erase cycle (0 = none); no valid
+    /// subpage was written after it.
+    #[inline]
+    pub fn newest_written(&self) -> Nanos {
+        self.newest_written
+    }
+
+    /// Whether the block is an active (open) write target.
+    #[inline]
+    pub(crate) fn is_active(&self) -> bool {
+        self.active
+    }
+
+    /// Sets the active flag; the FTL core calls this exactly where it adds
+    /// the block to, or drops it from, an active ring.
+    pub(crate) fn set_active(&mut self, active: bool) {
+        self.active = active;
+    }
+
     /// The J-term population as a page-major bitset (one bit per subpage
     /// slot); the ISR scorer iterates its set bits in ascending slot order,
     /// which is exactly the oracle's (page, subpage) visit order.
@@ -237,13 +285,20 @@ impl BlockMeta {
         let mut valid = 0u32;
         let mut sum = 0u128;
         let mut j = 0u32;
+        let mut sum_cold = 0u128;
         for page in 0..self.page_count() {
             for s in 0..self.subpages_per_page {
                 let slot = self.slot(page, s as u8);
                 let cold_bit = self.cold_mask[slot / 64] & (1u64 << (slot % 64)) != 0;
+                if cold_bit {
+                    sum_cold += self.sub_written_ns[slot] as u128;
+                }
                 if self.mask_bit(slot) {
                     valid += 1;
                     sum += self.sub_written_ns[slot] as u128;
+                    if self.sub_written_ns[slot] > self.newest_written {
+                        return false;
+                    }
                     if !self.page_updated[page as usize] {
                         j += 1;
                         if !cold_bit {
@@ -257,20 +312,55 @@ impl BlockMeta {
                 }
             }
         }
-        valid == self.valid_count && sum == self.sum_written_valid && j == self.j_count
+        valid == self.valid_count
+            && sum == self.sum_written_valid
+            && j == self.j_count
+            && sum_cold == self.sum_written_cold
     }
 }
 
-/// Registry of in-use blocks and their metadata, keyed by dense block index.
+/// Registry of in-use blocks and their metadata: a table indexed by dense
+/// block index, so every lookup on the write, invalidate and GC paths is one
+/// bounds-checked load. The FTL core sizes it to the device's block count up
+/// front; a table built with [`CacheMeta::new`] grows to the largest index
+/// opened. Iteration is in ascending index order.
 #[derive(Debug, Clone, Default)]
 pub struct CacheMeta {
-    blocks: BTreeMap<u64, BlockMeta>,
+    /// Dense block index → metadata (`None` = block not in use).
+    slots: Vec<Option<BlockMeta>>,
+    /// Number of occupied slots.
+    len: usize,
     next_seq: u64,
 }
 
 impl CacheMeta {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty table with a slot for each of `blocks` dense indices, so a
+    /// device's table is allocated once at its final size.
+    pub(crate) fn with_blocks(blocks: u64) -> Self {
+        let mut slots = Vec::new();
+        slots.resize_with(blocks as usize, || None);
+        CacheMeta {
+            slots,
+            ..Self::default()
+        }
+    }
+
+    /// Installs `meta` at `block_idx`, returning the slot's metadata.
+    fn install(&mut self, block_idx: u64, meta: BlockMeta) -> &mut BlockMeta {
+        let i = block_idx as usize;
+        if self.slots.len() <= i {
+            self.slots.resize_with(i + 1, || None);
+        }
+        let slot = &mut self.slots[i];
+        debug_assert!(slot.is_none(), "block {} registered twice", meta.addr);
+        if slot.is_none() {
+            self.len += 1;
+        }
+        slot.insert(meta)
     }
 
     /// Registers a freshly-opened block at `level`.
@@ -284,16 +374,17 @@ impl CacheMeta {
     ) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let prev = self.blocks.insert(
+        self.install(
             block_idx,
             BlockMeta::new(addr, level, seq, pages, subpages_per_page),
         );
-        debug_assert!(prev.is_none(), "block {addr} opened twice");
     }
 
     /// Removes a block's metadata (called at erase).
     pub fn close_block(&mut self, block_idx: u64) -> Option<BlockMeta> {
-        self.blocks.remove(&block_idx)
+        let meta = self.slots.get_mut(block_idx as usize)?.take()?;
+        self.len -= 1;
+        Some(meta)
     }
 
     /// Re-registers a block with its *original* open sequence number during
@@ -311,15 +402,10 @@ impl CacheMeta {
         pages: u32,
         subpages_per_page: u32,
     ) -> &mut BlockMeta {
-        let meta = BlockMeta::new(addr, level, opened_seq, pages, subpages_per_page);
-        match self.blocks.entry(block_idx) {
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                debug_assert!(false, "block {addr} restored twice");
-                e.insert(meta);
-                e.into_mut()
-            }
-            std::collections::btree_map::Entry::Vacant(v) => v.insert(meta),
-        }
+        self.install(
+            block_idx,
+            BlockMeta::new(addr, level, opened_seq, pages, subpages_per_page),
+        )
     }
 
     /// Sets the next open sequence number (power-loss reconstruction: one
@@ -328,31 +414,42 @@ impl CacheMeta {
         self.next_seq = seq;
     }
 
+    #[inline]
     pub fn get(&self, block_idx: u64) -> Option<&BlockMeta> {
-        self.blocks.get(&block_idx)
+        self.slots.get(block_idx as usize)?.as_ref()
     }
 
+    #[inline]
     pub fn get_mut(&mut self, block_idx: u64) -> Option<&mut BlockMeta> {
-        self.blocks.get_mut(&block_idx)
+        self.slots.get_mut(block_idx as usize)?.as_mut()
     }
 
     /// Level of a block, if tracked.
     pub fn level(&self, block_idx: u64) -> Option<BlockLevel> {
-        self.blocks.get(&block_idx).map(|m| m.level)
+        self.get(block_idx).map(|m| m.level)
     }
 
-    /// Iterates `(block_idx, meta)` over all in-use blocks.
+    /// Iterates `(block_idx, meta)` over all in-use blocks, ascending index.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &BlockMeta)> {
-        self.blocks.iter().map(|(&i, m)| (i, m))
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, m)| m.as_ref().map(|m| (i as u64, m)))
     }
 
     /// Number of in-use blocks tracked.
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.len == 0
+    }
+
+    /// Counts the occupied slots from scratch; equals [`Self::len`] unless
+    /// the table is corrupt (used by the FTL invariant checker).
+    pub(crate) fn occupied_slots(&self) -> usize {
+        self.slots.iter().filter(|m| m.is_some()).count()
     }
 
     /// In-use blocks in the SLC cache (level above `HighDensity`).
@@ -363,6 +460,22 @@ impl CacheMeta {
     /// In-use blocks in the MLC region.
     pub fn mlc_blocks(&self) -> impl Iterator<Item = (u64, &BlockMeta)> {
         self.iter().filter(|(_, m)| !m.level.is_slc())
+    }
+}
+
+/// Deliberate corruption hooks, so invariant-checker tests can show each
+/// check firing.
+#[cfg(test)]
+impl BlockMeta {
+    pub(crate) fn skew_sum_written_cold(&mut self, delta: u128) {
+        self.sum_written_cold += delta;
+    }
+}
+
+#[cfg(test)]
+impl CacheMeta {
+    pub(crate) fn skew_len(&mut self) {
+        self.len += 1;
     }
 }
 
@@ -458,6 +571,49 @@ mod tests {
         assert_eq!(m.valid_count(), 2);
         assert_eq!(m.sum_written_valid(), 5000 + 3000);
         assert!(m.aggregates_consistent());
+    }
+
+    #[test]
+    fn cold_timestamp_sum_follows_the_j_population() {
+        let mut c = CacheMeta::new();
+        c.open_block(7, addr(), BlockLevel::Work, 4, 4);
+        let m = c.get_mut(7).unwrap();
+        m.note_program(0, 0, 2, 1000, false);
+        m.note_program(1, 0, 3, 3000, false);
+        assert_eq!(m.sum_written_cold(), 2 * 1000 + 3 * 3000);
+        assert_eq!(m.newest_written(), 3000);
+
+        // The update moves page 0's two valid subpages out of J.
+        m.note_program(0, 2, 1, 5000, true);
+        assert_eq!(m.sum_written_cold(), 3 * 3000);
+        // Invalidating a cold subpage drops its timestamp; an updated one
+        // leaves the cold sum alone.
+        m.note_invalidate(1, 0);
+        m.note_invalidate(0, 2);
+        assert_eq!(m.sum_written_cold(), 2 * 3000);
+        // The newest write time never drops, so it still bounds every
+        // valid timestamp after the 5000 ns subpage is gone.
+        assert_eq!(m.newest_written(), 5000);
+        assert!(m.aggregates_consistent());
+
+        m.skew_sum_written_cold(1);
+        assert!(!m.aggregates_consistent());
+    }
+
+    #[test]
+    fn dense_table_counts_and_iterates_in_index_order() {
+        let mut c = CacheMeta::with_blocks(4);
+        assert!(c.is_empty());
+        c.open_block(9, BlockAddr::new(0, 0, 0, 0, 9), BlockLevel::Work, 4, 4);
+        c.open_block(2, BlockAddr::new(0, 0, 0, 0, 2), BlockLevel::Hot, 4, 4);
+        c.open_block(5, BlockAddr::new(0, 0, 0, 0, 5), BlockLevel::Work, 4, 4);
+        assert!(c.close_block(5).is_some());
+        let order: Vec<u64> = c.iter().map(|(i, _)| i).collect();
+        assert_eq!(order, vec![2, 9]);
+        assert_eq!((c.len(), c.occupied_slots()), (2, 2));
+        assert!(c.get(100).is_none() && c.close_block(100).is_none());
+        c.skew_len();
+        assert_ne!(c.len(), c.occupied_slots());
     }
 
     #[test]

@@ -6,6 +6,9 @@
 //!   the largest *invalid subpage ratio*, where never-updated (cold) valid
 //!   subpages contribute an age-dependent weight so that cold blocks are
 //!   preferentially collected and their data demoted out of the cache.
+//! * [`isr_score_fast`] and [`isr_jensen_bound`] — the incremental ISR score
+//!   and its O(1) upper bound, which together let the FTL's victim selection
+//!   score about one candidate exactly per GC round.
 
 use ipu_flash::{BlockState, Nanos, SubpageState};
 
@@ -120,25 +123,31 @@ pub fn isr_score(block: &BlockState, meta: &BlockMeta, now: Nanos) -> f64 {
     (invalid + cold_valid_weight(block, meta, now)) / total as f64
 }
 
+/// Eq. 2's `T_i` from the cached sums: the mean age of the block's valid
+/// subpages, floored at 1 ns. `Σ(now − t_i) = n·now − Σt_i` is exact while
+/// per-block age sums stay below 2^53 ns, i.e. at all simulation timescales.
+/// Callers guarantee at least one valid subpage.
+fn mean_valid_age(meta: &BlockMeta, now: Nanos) -> f64 {
+    let valid_count = meta.valid_count();
+    let ages_sum =
+        (valid_count as u128 * now as u128).saturating_sub(meta.sum_written_valid()) as f64;
+    (ages_sum / valid_count as f64).max(1.0)
+}
+
 /// Incremental (cached-aggregate) variant of [`cold_valid_weight`].
 ///
 /// Produces the same value as the oracle *provided* the metadata's validity
 /// mask mirrors the device state — which `FtlCore` maintains by notifying the
 /// metadata on every program and invalidate. The mean-age pass is replaced by
-/// the closed form `Σ(now − t_i) = n·now − Σt_i` over the cached sums (exact
-/// while per-block age sums stay below 2^53 ns, i.e. at all simulation
-/// timescales), and the J-term walks only the metadata arrays in the oracle's
-/// (page, subpage) order, reusing the previous `exp` whenever consecutive
-/// subpages share a write timestamp (subpages programmed by one operation
-/// always do).
+/// the closed form of `mean_valid_age`, and the J-term walks only the
+/// metadata arrays in the oracle's (page, subpage) order, reusing the
+/// previous `exp` whenever consecutive subpages share a write timestamp
+/// (subpages programmed by one operation always do).
 pub fn cold_valid_weight_fast(meta: &BlockMeta, now: Nanos) -> f64 {
-    let valid_count = meta.valid_count();
-    if valid_count == 0 {
+    if meta.valid_count() == 0 {
         return 0.0;
     }
-    let ages_sum =
-        (valid_count as u128 * now as u128).saturating_sub(meta.sum_written_valid()) as f64;
-    let t_mean = (ages_sum / valid_count as f64).max(1.0);
+    let t_mean = mean_valid_age(meta, now);
 
     let mut weight = 0.0;
     let mut last_t = Nanos::MAX;
@@ -175,16 +184,34 @@ pub fn isr_score_fast(block: &BlockState, meta: &BlockMeta, now: Nanos) -> f64 {
     (invalid + cold_valid_weight_fast(meta, now)) / total as f64
 }
 
-/// Cheap upper bound on [`isr_score`]: every J-term is ≤ 1, so the score can
-/// never exceed `(invalid + j_count) / total`. Used to prune candidates whose
-/// bound already loses to the best exact score seen.
-pub fn isr_upper_bound(block: &BlockState, meta: &BlockMeta) -> f64 {
+/// O(1) upper bound on [`isr_score`] and [`isr_score_fast`] (Jensen's
+/// inequality), so victim selection scores a candidate exactly only when its
+/// bound can reach the best exact score seen.
+///
+/// Each J-term `1 − e^(−x/T)` is concave in the age `x`, so the sum over the
+/// `j` cold subpages is at most `j·(1 − e^(−ā/T))`, where `ā` is their mean
+/// age — read from the cached cold timestamp sum — and `T` is exactly the
+/// exact scorer's `mean_valid_age`. Equality holds when every cold subpage
+/// shares one write time. The premise needs every age to be the affine
+/// `now − t`; the exact scorer clamps a timestamp after `now` to age 0, so
+/// when any was recorded after `now` the J-term bound falls back to `j`
+/// (every term is below 1).
+pub fn isr_jensen_bound(block: &BlockState, meta: &BlockMeta, now: Nanos) -> f64 {
     let total = block.total_subpages();
     if total == 0 {
         return 0.0;
     }
     let invalid = block.count_subpages(SubpageState::Invalid) as f64;
-    (invalid + meta.j_count() as f64) / total as f64
+    let j = meta.j_count();
+    let cold_bound = if j == 0 {
+        0.0
+    } else if meta.newest_written() > now {
+        j as f64
+    } else {
+        let cold_ages = (j as u128 * now as u128).saturating_sub(meta.sum_written_cold()) as f64;
+        j as f64 * (1.0 - (-(cold_ages / j as f64) / mean_valid_age(meta, now)).exp())
+    };
+    (invalid + cold_bound) / total as f64
 }
 
 /// Selects the candidate with the highest ISR score; ties break toward the

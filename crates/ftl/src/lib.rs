@@ -2,14 +2,16 @@
 //!
 //! The logical half of the reproduction: address mapping, free-block
 //! management, the three-level SLC-mode cache, GC policies (greedy and the
-//! paper's ISR policy with Equations 1–2), and the three schemes under
-//! evaluation:
+//! paper's ISR policy with Equations 1–2), and four schemes — the paper's
+//! three under evaluation plus one extension:
 //!
 //! * [`schemes::baseline::BaselineFtl`] — page-level mapping, no partial
 //!   programming;
 //! * [`schemes::mga::MgaFtl`] — subpage packing with partial programming
 //!   (the state-of-the-art comparison point);
-//! * [`schemes::ipu::IpuFtl`] — the paper's intra-page update scheme.
+//! * [`schemes::ipu::IpuFtl`] — the paper's intra-page update scheme;
+//! * [`schemes::ipu_plus::IpuPlusFtl`] — IPU plus cold-data packing (the
+//!   paper's §5 future work).
 //!
 //! Schemes execute against an [`ipu_flash::FlashDevice`] and emit
 //! [`ops::OpBatch`]es of timed operations that `ipu-sim` schedules onto chips.
@@ -35,7 +37,7 @@ pub use cache_meta::{BlockMeta, CacheMeta};
 pub use config::{FtlConfig, ScrubConfig};
 pub use error::FtlError;
 pub use gc::{
-    cold_valid_weight_fast, greedy_score, isr_score, isr_score_fast, isr_upper_bound,
+    cold_valid_weight_fast, greedy_score, isr_jensen_bound, isr_score, isr_score_fast,
     select_greedy, select_isr, GcGranularity,
 };
 pub use mapping::{ChunkSummary, FxBuildHasher, FxHasher, MappingTable, OwnerTable};

@@ -1,7 +1,7 @@
 //! Address translation: the forward map (logical subpage → physical subpage)
 //! and the reverse owner table (physical subpage → logical subpage).
 //!
-//! All three schemes share this machinery; what differs is the *analytic
+//! All four schemes share this machinery; what differs is the *analytic
 //! memory accounting* of Figure 11 (see [`crate::memory`]), which models what
 //! each scheme would actually have to keep in controller DRAM.
 

@@ -1,7 +1,7 @@
 //! Shared FTL machinery: active blocks, chunking, programming, the host read
-//! path, and GC execution primitives. The three schemes (Baseline / MGA / IPU)
-//! differ only in placement policy, victim selection and GC data movement;
-//! everything else lives here.
+//! path, and GC execution primitives. The four schemes (Baseline / MGA / IPU /
+//! IPU+) differ only in placement policy, victim selection and GC data
+//! movement; everything else lives here.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -16,7 +16,7 @@ use crate::cache_meta::CacheMeta;
 use crate::config::FtlConfig;
 use crate::error::FtlError;
 use crate::gc::{
-    greedy_score, isr_score_fast, isr_upper_bound, select_greedy, select_isr, GcGranularity,
+    greedy_score, isr_jensen_bound, isr_score_fast, select_greedy, select_isr, GcGranularity,
 };
 use crate::mapping::{MappingTable, OwnerTable};
 use crate::ops::{FlashOpKind, OpBatch, ReqStatus, RoundOrigin};
@@ -157,7 +157,7 @@ pub struct FtlCore {
     /// the core's MLC GC / wear-leveling paths via take/put-back.
     pub(crate) gc_groups: Vec<PageGroup>,
     /// Reusable (upper bound, opened_seq, idx) candidate list for ISR victim
-    /// selection; kept sorted scratch so steady-state GC allocates nothing.
+    /// selection, so steady-state GC allocates nothing.
     isr_scratch: Vec<(f64, u64, u64)>,
     /// Bucketed priority index over in-use SLC blocks, maintained on block
     /// open/close and subpage invalidation so GC victim selection never
@@ -180,7 +180,7 @@ impl FtlCore {
             map: MappingTable::new(),
             owners: OwnerTable::new(&geometry),
             blocks,
-            meta: CacheMeta::new(),
+            meta: CacheMeta::with_blocks(geometry.total_blocks()),
             stats: FtlStats::default(),
             geometry,
             actives: [Vec::new(), Vec::new(), Vec::new(), Vec::new()],
@@ -273,9 +273,12 @@ impl FtlCore {
             .collect()
     }
 
-    /// Whether `addr` is currently an active block of any level.
+    /// Whether `addr` is currently an active block of any level. O(1): reads
+    /// the block's active flag, which mirrors ring membership.
     pub fn is_active(&self, addr: BlockAddr) -> bool {
-        self.actives.iter().flatten().any(|a| a.addr == addr)
+        self.meta
+            .get(self.block_idx(addr))
+            .is_some_and(|m| m.is_active())
     }
 
     fn open_active(&mut self, addr: BlockAddr, level: BlockLevel) {
@@ -287,9 +290,13 @@ impl FtlCore {
         let idx = self.block_idx(addr);
         self.meta
             .open_block(idx, addr, level, pages, self.geometry.subpages_per_page());
+        let mut seq = 0;
+        if let Some(m) = self.meta.get_mut(idx) {
+            m.set_active(true);
+            seq = m.opened_seq();
+        }
         if level.is_slc() {
             // A freshly-allocated block is erased: its greedy score is 0.
-            let seq = self.meta.get(idx).map_or(0, |m| m.opened_seq());
             self.victim_index.insert(idx, seq, 0);
         }
         self.actives[level as usize].push(ActiveBlock {
@@ -297,6 +304,17 @@ impl FtlCore {
             next_page: 0,
             pages,
         });
+    }
+
+    /// Empties ring `li`, clearing its members' active flags (they remain GC
+    /// candidates via the metadata registry).
+    fn clear_ring(&mut self, li: usize) {
+        for a in &self.actives[li] {
+            if let Some(m) = self.meta.get_mut(self.geometry.block_index(a.addr)) {
+                m.set_active(false);
+            }
+        }
+        self.actives[li].clear();
     }
 
     /// Records a subpage invalidation in the cache metadata (incremental ISR
@@ -317,53 +335,55 @@ impl FtlCore {
     /// the equivalence.
     pub fn select_slc_victim_greedy(&self) -> Option<u64> {
         self.victim_index
-            .select_greedy(|i| self.meta.get(i).is_none_or(|m| self.is_active(m.addr)))
+            .select_greedy(|i| self.meta.get(i).is_none_or(|m| m.is_active()))
     }
 
     /// ISR SLC GC victim (paper Equations 1–2) over the index's membership
-    /// set, scored with the incremental evaluator and pruned by
-    /// [`isr_upper_bound`]: candidates are visited in descending bound order,
-    /// so as soon as one bound cannot beat the best exact score seen, every
-    /// remaining candidate is pruned too and the scan stops without
-    /// evaluating any exponential. Selects exactly the block the full linear
-    /// scan ([`Self::oracle_slc_victim_isr`]) would: the bound
-    /// over-approximates the score (every age term is ≤ 1), so no pruned
-    /// candidate could have won or tied, and the replacement rule computes
-    /// `select_isr`'s (max score, min seq) ordering, which is a maximum over
-    /// a total order and therefore independent of visit order.
+    /// set, in one pass over the buckets' dense entries with no sort. Every
+    /// non-active candidate gets its O(1) [`isr_jensen_bound`]; the candidate
+    /// with the highest bound is scored exactly with the incremental
+    /// evaluator, and any other candidate only if its bound + 1e-9 reaches
+    /// the running best. Selects exactly the block the full linear scan
+    /// ([`Self::oracle_slc_victim_isr`]) would: the bound over-approximates
+    /// the score (Jensen's inequality on the concave age weight), so a
+    /// pruned candidate scores below the final best and could neither win
+    /// nor tie, and the replacement rule computes `select_isr`'s (max score,
+    /// min seq) ordering, which is a maximum over a total order and
+    /// therefore independent of visit order.
     pub fn select_slc_victim_isr(&mut self, dev: &FlashDevice, now: Nanos) -> Option<u64> {
         let mut cands = std::mem::take(&mut self.isr_scratch);
         let cap_before = cands.capacity();
         cands.clear();
-        for (idx, _, seq) in self.victim_index.members() {
+        let mut top: Option<(f64, usize)> = None; // (bound, position in cands)
+        for (seq, idx) in self.victim_index.entries() {
             let Some(m) = self.meta.get(idx) else {
                 continue;
             };
-            if self.is_active(m.addr) {
+            if m.is_active() {
                 continue;
             }
-            let block = dev.block_by_index(idx);
-            cands.push((isr_upper_bound(block, m), seq, idx));
+            let ub = isr_jensen_bound(dev.block_by_index(idx), m, now);
+            if top.is_none_or(|(tub, _)| ub > tub) {
+                top = Some((ub, cands.len()));
+            }
+            cands.push((ub, seq, idx));
         }
-        cands.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.2.cmp(&b.2)));
+        // Exact scores: the best-bounded candidate first, so its score
+        // prunes every candidate whose bound cannot reach it.
+        if let Some((_, t)) = top {
+            cands.swap(0, t);
+        }
         let mut best: Option<(f64, u64, u64)> = None; // (score, opened_seq, idx)
         for &(ub, seq, idx) in &cands {
-            if let Some((bs, bseq, _)) = best {
-                if ub + 1e-9 < bs {
-                    break; // sorted descending: all remaining bounds lose too
-                }
-                let Some(m) = self.meta.get(idx) else {
-                    continue;
-                };
-                let s = isr_score_fast(dev.block_by_index(idx), m, now);
-                if s > bs || (s == bs && seq < bseq) {
-                    best = Some((s, seq, idx));
-                }
-            } else {
-                let Some(m) = self.meta.get(idx) else {
-                    continue;
-                };
-                best = Some((isr_score_fast(dev.block_by_index(idx), m, now), seq, idx));
+            if best.is_some_and(|(bs, _, _)| ub + 1e-9 < bs) {
+                continue;
+            }
+            let Some(m) = self.meta.get(idx) else {
+                continue;
+            };
+            let s = isr_score_fast(dev.block_by_index(idx), m, now);
+            if best.is_none_or(|(bs, bseq, _)| s > bs || (s == bs && seq < bseq)) {
+                best = Some((s, seq, idx));
             }
         }
         if cands.capacity() != cap_before {
@@ -443,9 +463,8 @@ impl FtlCore {
                     return Some(ppa);
                 }
             }
-            // Every ring member is full: retire them (they remain GC
-            // candidates via the metadata registry) and retry.
-            self.actives[li].clear();
+            // Every ring member is full: retire them and retry.
+            self.clear_ring(li);
             if self.free_blocks_for(level) == 0 {
                 return None;
             }
@@ -706,6 +725,9 @@ impl FtlCore {
         let level = meta.level;
         for ring in self.actives.iter_mut() {
             ring.retain(|a| a.addr != addr);
+        }
+        if let Some(m) = self.meta.get_mut(block_idx) {
+            m.set_active(false);
         }
         for group in self.collect_victim_groups(dev, block_idx) {
             if self
@@ -1190,7 +1212,14 @@ impl FtlCore {
     /// 1. every mapped LSN points at a physically *valid* subpage,
     /// 2. the owner table agrees with the forward map in both directions,
     /// 3. every valid subpage on the device is owned by a mapped LSN,
-    /// 4. per-block subpage accounting conserves (free + valid + invalid).
+    /// 4. per-block subpage accounting conserves (free + valid + invalid),
+    /// 5. the device's cached per-block counters agree with a recount,
+    /// 6. cache metadata mirrors device validity, its cached aggregates
+    ///    (valid/J counts, valid and cold timestamp sums) match a
+    ///    recomputation, and the victim index holds exactly the in-use SLC
+    ///    blocks at their device invalid counts,
+    /// 7. per-block active flags equal active-ring membership,
+    /// 8. the metadata table's in-use count equals its occupied slots.
     pub fn check_invariants(&self, dev: &FlashDevice) -> Result<(), String> {
         // 1 & 2 (forward direction).
         for (lsn, spa) in self.map.iter() {
@@ -1297,6 +1326,31 @@ impl FtlCore {
                 "victim index tracks {} blocks, {} SLC blocks in use",
                 self.victim_index.len(),
                 indexed
+            ));
+        }
+        // 7: active flags mirror ring membership.
+        let mut ring_members = 0usize;
+        for a in self.actives.iter().flatten() {
+            let i = self.block_idx(a.addr);
+            if !self.meta.get(i).is_some_and(|m| m.is_active()) {
+                return Err(format!(
+                    "block {i} is in an active ring but not flagged active"
+                ));
+            }
+            ring_members += 1;
+        }
+        let flagged = self.meta.iter().filter(|(_, m)| m.is_active()).count();
+        if flagged != ring_members {
+            return Err(format!(
+                "{flagged} blocks flagged active, {ring_members} in active rings"
+            ));
+        }
+        // 8: the dense metadata table's count matches its occupied slots.
+        let occupied = self.meta.occupied_slots();
+        if occupied != self.meta.len() {
+            return Err(format!(
+                "metadata table counts {} in-use blocks, {occupied} slots occupied",
+                self.meta.len()
             ));
         }
         Ok(())
@@ -1432,7 +1486,7 @@ impl FtlCore {
     pub fn rebuild_from_flash(&mut self, dev: &FlashDevice) {
         self.map = MappingTable::new();
         self.owners = OwnerTable::new(&self.geometry);
-        self.meta = CacheMeta::new();
+        self.meta = CacheMeta::with_blocks(self.geometry.total_blocks());
         self.actives = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
         self.rr = [0; 4];
         self.slc_gc_ready_at = 0;
@@ -1651,6 +1705,73 @@ mod tests {
             dev.block(ppa.block_addr()).page(ppa.page).subpage(0),
             SubpageState::Invalid
         );
+    }
+
+    /// One programmed Work page; returns its block index.
+    fn core_with_one_write() -> (FtlCore, FlashDevice, u64) {
+        let (mut core, mut dev) = core_and_dev();
+        let mut batch = OpBatch::new();
+        let (ppa, _) = core
+            .take_page(&mut dev, BlockLevel::Work, &mut batch)
+            .unwrap();
+        core.program_group(
+            &mut dev,
+            ppa,
+            0,
+            &[0, 1],
+            FlashOpKind::HostProgram,
+            7,
+            &mut batch,
+        )
+        .unwrap();
+        assert_eq!(core.check_invariants(&dev), Ok(()));
+        let idx = core.block_idx(ppa.block_addr());
+        (core, dev, idx)
+    }
+
+    #[test]
+    fn invariants_catch_a_skewed_cold_timestamp_sum() {
+        let (mut core, dev, idx) = core_with_one_write();
+        core.meta.get_mut(idx).unwrap().skew_sum_written_cold(1);
+        let err = core.check_invariants(&dev).unwrap_err();
+        assert!(err.contains("aggregates diverged"), "{err}");
+    }
+
+    #[test]
+    fn invariants_catch_active_flags_that_disagree_with_the_rings() {
+        let (mut core, dev, idx) = core_with_one_write();
+        // An active-ring member that lost its flag.
+        core.meta.get_mut(idx).unwrap().set_active(false);
+        let err = core.check_invariants(&dev).unwrap_err();
+        assert!(err.contains("not flagged active"), "{err}");
+
+        // A flagged block that is in no ring.
+        core.meta.get_mut(idx).unwrap().set_active(true);
+        let g = core.geometry().clone();
+        let other = core.blocks.allocate_mlc().unwrap();
+        let other_idx = g.block_index(other);
+        core.meta.open_block(
+            other_idx,
+            other,
+            BlockLevel::HighDensity,
+            g.pages_per_block_mlc,
+            g.subpages_per_page(),
+        );
+        assert_eq!(core.check_invariants(&dev), Ok(()));
+        core.meta.get_mut(other_idx).unwrap().set_active(true);
+        let err = core.check_invariants(&dev).unwrap_err();
+        assert!(
+            err.contains("2 blocks flagged active, 1 in active rings"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn invariants_catch_a_miscounted_metadata_table() {
+        let (mut core, dev, _) = core_with_one_write();
+        core.meta.skew_len();
+        let err = core.check_invariants(&dev).unwrap_err();
+        assert!(err.contains("metadata table counts"), "{err}");
     }
 
     #[test]

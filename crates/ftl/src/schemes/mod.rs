@@ -1,4 +1,5 @@
-//! The three FTL schemes evaluated in the paper (§4.1).
+//! The four FTL schemes: the three evaluated in the paper (§4.1) and one
+//! extension.
 //!
 //! * [`baseline::BaselineFtl`] — dynamic page-level mapping, no partial
 //!   programming: every write chunk consumes a whole fresh SLC page.
@@ -9,6 +10,8 @@
 //!   programming only ever rewrites a page's *own* data; three-level hot/cold
 //!   block hierarchy with upgraded movement on update overflow, ISR-based GC
 //!   victim selection and degraded movement at GC.
+//! * [`ipu_plus::IpuPlusFtl`] — extension (the paper's §5 future work): IPU
+//!   plus MGA-style packing of cold first-time writes.
 
 pub mod baseline;
 pub mod common;
@@ -92,13 +95,15 @@ pub trait FtlScheme {
     fn core_mut(&mut self) -> &mut FtlCore;
 }
 
-/// Identifies one of the three schemes; used by configs and reports.
+/// Identifies one of the four schemes; used by configs and reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SchemeKind {
     /// Plain SLC-cache FTL: whole-page cache writes, no update grouping.
     Baseline,
-    /// Modify-Group-Aggregation (the paper's state-of-the-art comparison):
-    /// groups sub-page updates and aggregates them into full-page writes.
+    /// Mapping Granularity Adaptive (Feng et al., DATE'17; the paper's
+    /// state-of-the-art comparison): packs small writes from different
+    /// requests into the free subpages of open pages via partial
+    /// programming.
     Mga,
     /// The paper's Intra-page Update scheme: partial programming updates
     /// subpages in place inside the SLC-mode cache page.

@@ -17,9 +17,12 @@
 //! the same winner an ordered walk would return. Equivalence is pinned by
 //! property tests against the retained oracle.
 //!
-//! ISR selection shares the index's membership set (all in-use SLC blocks,
-//! ordered by block index) but scores candidates with the incremental ISR
-//! evaluator, pruning via [`crate::gc::isr_upper_bound`].
+//! ISR selection shares the index's membership set (all in-use SLC blocks),
+//! walking the buckets' dense entries via [`VictimIndex::entries`] in one
+//! pass: it bounds every candidate in O(1) with
+//! [`crate::gc::isr_jensen_bound`], scores the best-bounded candidate
+//! exactly, and scores the rest only where the bound reaches the running
+//! best (see `FtlCore::select_slc_victim_isr`).
 
 /// Per-member record: cached score, open order, and the member's position in
 /// its score bucket (for O(1) swap-removal).
@@ -137,12 +140,11 @@ impl VictimIndex {
         None
     }
 
-    /// Iterates `(block_idx, cached_score, opened_seq)` in block-index order.
-    pub fn members(&self) -> impl Iterator<Item = (u64, u32, u64)> + '_ {
-        self.members
-            .iter()
-            .enumerate()
-            .filter_map(|(i, m)| m.map(|m| (i as u64, m.score, m.seq)))
+    /// Iterates `(opened_seq, block_idx)` over every member, bucket by
+    /// bucket. The order is unspecified; it touches only the dense bucket
+    /// entries, never the sparse per-block member table.
+    pub fn entries(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.buckets.iter().flatten().copied()
     }
 
     /// Cached score of a member (test introspection).
@@ -191,6 +193,19 @@ mod tests {
         ix.clear();
         assert!(ix.is_empty());
         assert_eq!(ix.select_greedy(|_| false), None);
+    }
+
+    #[test]
+    fn entries_cover_every_member_once() {
+        let mut ix = VictimIndex::new();
+        ix.insert(7, 1, 0);
+        ix.insert(3, 2, 5);
+        ix.insert(9, 3, 5);
+        ix.note_invalidated(7);
+        ix.remove(3);
+        let mut seen: Vec<(u64, u64)> = ix.entries().collect();
+        seen.sort_unstable();
+        assert_eq!(seen, vec![(1, 7), (3, 9)]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Property-based tests over all three FTL schemes: under arbitrary
+//! Property-based tests over all four FTL schemes: under arbitrary
 //! write/read workloads (with heavy cache pressure and GC), every scheme must
 //! preserve read-your-writes mapping consistency, forward/reverse map
 //! agreement, and physical/logical accounting.

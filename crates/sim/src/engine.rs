@@ -146,7 +146,7 @@ pub fn replay(cfg: &ReplayConfig, requests: &[IoRequest], trace_name: &str) -> S
 /// for empty traces).
 ///
 /// The replay runs on the discrete-event core
-/// ([`EventCore`](crate::event_core::EventCore)): op-issue events come from
+/// ([`EventCore`]): op-issue events come from
 /// the already-sorted request stream, and op-complete / GC-step / scrub-step
 /// events interleave on the heap. With the default [`TimingConfig`] the
 /// timeline is bit-identical to [`replay_oracle`] (pinned by the

@@ -37,7 +37,7 @@
 //!    (insert it into the same-instant order deliberately — anything that
 //!    *consumes* device time should sort after op-issue so host work keeps
 //!    winning ties).
-//! 2. Push it with [`EventCore::push_event`]'s pattern (time, class, payload);
+//! 2. Push it with `EventCore::push_event`'s pattern (time, class, payload);
 //!    `seq` is assigned automatically.
 //! 3. Handle it in `handle()`. Handlers may push follow-up events; they must
 //!    never push an event strictly in the past.
