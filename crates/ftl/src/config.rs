@@ -59,8 +59,9 @@ pub struct FtlConfig {
     /// runs a single select/move/erase cycle per request; values above 1 make
     /// GC more aggressive at the cost of foreground interference.
     pub gc_rounds_per_write: u32,
-    /// Maximum open (partially-filled, partially-programmable) pages MGA keeps
-    /// as packing candidates — models the controller's write-buffer bound.
+    /// Maximum open (partially-filled, partially-programmable) pages the
+    /// packing schemes (MGA and IPU+) keep as packing candidates — models the
+    /// controller's write-buffer bound.
     pub mga_open_page_limit: usize,
     /// Active blocks kept open per level, page allocations round-robin across
     /// them. Models SSDsim's dynamic allocation striping writes over
@@ -70,7 +71,8 @@ pub struct FtlConfig {
     /// (pre-trace-resident data, served from the MLC region).
     pub serve_unmapped_reads_from_mlc: bool,
     /// IPU ablation: use the paper's ISR GC policy (Equations 1–2). When
-    /// false, IPU falls back to greedy subpage-granular victim selection.
+    /// false, IPU and IPU+ fall back to greedy subpage-granular victim
+    /// selection; Baseline and MGA are always greedy.
     pub ipu_use_isr_gc: bool,
     /// IPU ablation: highest SLC cache level (`block_flag`) data can climb to.
     /// The paper uses 3 (Work/Monitor/Hot); 1 collapses the hierarchy to a

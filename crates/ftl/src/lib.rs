@@ -5,16 +5,18 @@
 //! paper's ISR policy with Equations 1–2), and four schemes — the paper's
 //! three under evaluation plus one extension:
 //!
-//! * [`schemes::baseline::BaselineFtl`] — page-level mapping, no partial
-//!   programming;
-//! * [`schemes::mga::MgaFtl`] — subpage packing with partial programming
-//!   (the state-of-the-art comparison point);
-//! * [`schemes::ipu::IpuFtl`] — the paper's intra-page update scheme;
-//! * [`schemes::ipu_plus::IpuPlusFtl`] — IPU plus cold-data packing (the
-//!   paper's §5 future work).
+//! * [`SchemeKind::Baseline`] — page-level mapping, no partial programming;
+//! * [`SchemeKind::Mga`] — subpage packing with partial programming (the
+//!   state-of-the-art comparison point);
+//! * [`SchemeKind::Ipu`] — the paper's intra-page update scheme;
+//! * [`SchemeKind::IpuPlus`] — IPU plus cold-data packing (the paper's §5
+//!   future work).
 //!
-//! Schemes execute against an [`ipu_flash::FlashDevice`] and emit
-//! [`ops::OpBatch`]es of timed operations that `ipu-sim` schedules onto chips.
+//! One driver, `SchemeFtl`, runs all four over the shared [`FtlCore`]; the
+//! kind's two policy bits pick its placement, victim and relocation choices
+//! (see [`schemes`]). Schemes execute against an [`ipu_flash::FlashDevice`]
+//! and emit [`ops::OpBatch`]es of timed operations that `ipu-sim` schedules
+//! onto chips.
 
 #![forbid(unsafe_code)]
 

@@ -1,7 +1,8 @@
 //! Shared FTL machinery: active blocks, chunking, programming, the host read
-//! path, and GC execution primitives. The four schemes (Baseline / MGA / IPU /
-//! IPU+) differ only in placement policy, victim selection and GC data
-//! movement; everything else lives here.
+//! path, victim selection, GC execution primitives, MLC GC, wear-leveling,
+//! scrub and power-loss rebuild. The scheme driver (`SchemeFtl`) decides only
+//! where writes land, which victim policy GC uses and where GC moves data;
+//! everything else lives here.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -153,7 +154,7 @@ pub struct FtlCore {
     /// Reusable read-run merge buffer: `host_read` takes it, fills it, and
     /// puts it back, so steady-state reads allocate nothing.
     read_runs: Vec<(Spa, u8)>,
-    /// Reusable GC page-group buffer, shared by the schemes' SLC GC loops and
+    /// Reusable GC page-group buffer, shared by the driver's SLC GC loop and
     /// the core's MLC GC / wear-leveling paths via take/put-back.
     pub(crate) gc_groups: Vec<PageGroup>,
     /// Reusable (upper bound, opened_seq, idx) candidate list for ISR victim
@@ -206,6 +207,11 @@ impl FtlCore {
         &self.bad_blocks
     }
 
+    /// Whether `addr` is a retired block, which must take no more data.
+    pub fn is_retired(&self, addr: BlockAddr) -> bool {
+        self.bad_blocks.contains(&self.block_idx(addr))
+    }
+
     /// Device geometry this FTL serves.
     pub fn geometry(&self) -> &FlashGeometry {
         &self.geometry
@@ -255,22 +261,6 @@ impl FtlCore {
             lsn += len;
             Some((start, len as u8))
         })
-    }
-
-    /// Materialized form of [`Self::chunk_spans`] (test and tooling
-    /// convenience; the request hot paths iterate the spans directly).
-    pub fn chunks(&self, req: &IoRequest) -> Vec<Vec<Lsn>> {
-        self.chunk_spans(req)
-            .map(|(start, len)| (start..start + len as u64).collect())
-            .collect()
-    }
-
-    /// Addresses of the active blocks at `level`.
-    pub fn active_addrs(&self, level: BlockLevel) -> Vec<BlockAddr> {
-        self.actives[level as usize]
-            .iter()
-            .map(|a| a.addr)
-            .collect()
     }
 
     /// Whether `addr` is currently an active block of any level. O(1): reads
@@ -895,8 +885,8 @@ impl FtlCore {
     }
 
     /// Advances pool bookkeeping to simulated time `now` (in-flight erases
-    /// whose completion time has passed re-enter the free pools). Schemes
-    /// call this at the top of every request.
+    /// whose completion time has passed re-enter the free pools). The driver
+    /// calls this at the top of every request.
     pub fn begin_request(&mut self, now: Nanos) {
         self.blocks.promote_ready(now);
     }
@@ -971,8 +961,8 @@ impl FtlCore {
 
     /// Collects the valid data of a victim block into `out` (cleared first),
     /// grouped per page. Reusing a caller-owned buffer keeps GC rounds free
-    /// of per-round heap allocation — schemes take/put-back the core's
-    /// `gc_groups` scratch around their victim loops.
+    /// of per-round heap allocation — the driver takes/puts back the core's
+    /// `gc_groups` scratch around its victim loop.
     pub fn collect_victim_groups_into(
         &self,
         dev: &FlashDevice,
@@ -1219,9 +1209,11 @@ impl FtlCore {
     ///    recomputation, and the victim index holds exactly the in-use SLC
     ///    blocks at their device invalid counts,
     /// 7. per-block active flags equal active-ring membership,
-    /// 8. the metadata table's in-use count equals its occupied slots.
+    /// 8. the metadata table's in-use count equals its occupied slots,
+    /// 9. no mapped LSN lives in a retired block (retired blocks are in no
+    ///    free pool and no victim index, so data there would never move).
     pub fn check_invariants(&self, dev: &FlashDevice) -> Result<(), String> {
-        // 1 & 2 (forward direction).
+        // 1, 2 (forward direction) & 9.
         for (lsn, spa) in self.map.iter() {
             let block = dev.block(spa.ppa.block_addr());
             if spa.ppa.page >= block.page_count() {
@@ -1232,6 +1224,9 @@ impl FtlCore {
                 return Err(format!("lsn {lsn} maps to {state:?} subpage at {spa}"));
             }
             let bi = self.block_idx(spa.ppa.block_addr());
+            if self.bad_blocks.contains(&bi) {
+                return Err(format!("lsn {lsn} maps into retired block {bi} at {spa}"));
+            }
             match self.owners.owner(bi, spa) {
                 Some(owner) if owner == lsn => {}
                 other => {
@@ -1587,16 +1582,13 @@ mod tests {
         let (core, _) = core_and_dev();
         // 64 KB at offset 0: 16 subpages → 4 chunks of 4.
         let big = IoRequest::new(0, OpKind::Write, 0, 65536);
-        let chunks = core.chunks(&big);
-        assert_eq!(chunks.len(), 4);
-        assert!(chunks.iter().all(|c| c.len() == 4));
-        assert_eq!(chunks[0], vec![0, 1, 2, 3]);
-        assert_eq!(chunks[3], vec![12, 13, 14, 15]);
+        let chunks: Vec<(Lsn, u8)> = core.chunk_spans(&big).collect();
+        assert_eq!(chunks, vec![(0, 4), (4, 4), (8, 4), (12, 4)]);
 
         // 8 KB straddling a page boundary: subpages 3 and 4 → two chunks.
         let straddle = IoRequest::new(0, OpKind::Write, 3 * 4096, 8192);
-        let chunks = core.chunks(&straddle);
-        assert_eq!(chunks, vec![vec![3], vec![4]]);
+        let chunks: Vec<(Lsn, u8)> = core.chunk_spans(&straddle).collect();
+        assert_eq!(chunks, vec![(3, 1), (4, 1)]);
     }
 
     #[test]

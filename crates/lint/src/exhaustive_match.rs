@@ -1,7 +1,7 @@
 //! `exhaustive-match` — no wildcard arms on growth enums.
 //!
 //! The enums in [`GROWTH_ENUMS`] are the ones the ROADMAP keeps adding
-//! variants to: a fourth `FtlScheme` (IPS, arXiv 2409.14360) means a new
+//! variants to: a fifth scheme (IPS, arXiv 2409.14360) means a new
 //! `SchemeKind`; new background work means a new `RoundOrigin`; new fault
 //! shapes mean new `FlashError`s; new replay events mean new `EventKind`
 //! classes. A `_ =>` arm on any of these compiles cleanly when the variant

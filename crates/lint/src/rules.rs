@@ -50,6 +50,7 @@ pub const ORDERED_OUTPUT_FILES: &[&str] = &[
     "crates/trace/src/analysis.rs",
     "crates/ftl/src/cache_meta.rs",
     "crates/ftl/src/schemes/common.rs",
+    "crates/ftl/src/schemes/mod.rs",
     "crates/core/src/report.rs",
     "crates/core/src/results.rs",
     "crates/core/src/scorecard.rs",

@@ -134,7 +134,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// No acked-data loss under program/erase faults with retry + remap, for
-    /// each of the paper's schemes.
+    /// each scheme.
     #[test]
     fn baseline_never_loses_acked_data(
         ops in workload(), seed in any::<u64>(),
@@ -157,6 +157,14 @@ proptest! {
         pf in 0.0f64..0.05, ef in 0.0f64..0.05,
     ) {
         check_no_acked_loss(SchemeKind::Ipu, &ops, seed, pf, ef)?;
+    }
+
+    #[test]
+    fn ipu_plus_never_loses_acked_data(
+        ops in workload(), seed in any::<u64>(),
+        pf in 0.0f64..0.05, ef in 0.0f64..0.05,
+    ) {
+        check_no_acked_loss(SchemeKind::IpuPlus, &ops, seed, pf, ef)?;
     }
 }
 
