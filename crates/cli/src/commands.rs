@@ -896,6 +896,7 @@ mod tests {
         assert!(config_from(&parsed("run --traces nosuch", COMMON)).is_err());
         assert!(config_from(&parsed("run --schemes nosuch", COMMON)).is_err());
         assert!(config_from(&parsed("run --pe pony", COMMON)).is_err());
+        assert!(config_from(&parsed("run --pe 21000", COMMON)).is_err());
         assert!(config_from(&parsed("run --fault-profile pony", COMMON)).is_err());
     }
 

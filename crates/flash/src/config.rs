@@ -183,6 +183,17 @@ impl DeviceConfig {
         self.geometry.validate()?;
         self.timing.validate()?;
         self.ber.validate()?;
+        // Pre-trace reads decode at the MLC baseline for this age, and a
+        // raw bit error rate must stay below 1.
+        let rber = self
+            .ber
+            .baseline_rber(self.initial_pe_cycles, CellMode::Mlc);
+        if rber >= 1.0 {
+            return Err(format!(
+                "initial_pe_cycles {} gives baseline RBER {rber:.3}, which must stay below 1",
+                self.initial_pe_cycles
+            ));
+        }
         self.disturb.validate()?;
         self.ecc.validate()?;
         if self.max_partial_programs == 0 {
@@ -223,6 +234,18 @@ mod tests {
     fn paper_scale_config_validates() {
         DeviceConfig::paper_scale().validate().unwrap();
         DeviceConfig::small_for_tests().validate().unwrap();
+    }
+
+    #[test]
+    fn validation_bounds_initial_pe_cycles_by_rber() {
+        let mut cfg = DeviceConfig::small_for_tests();
+        cfg.initial_pe_cycles = 20_000;
+        cfg.validate().unwrap();
+        cfg.initial_pe_cycles = 21_000;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("21000") && err.contains("RBER 1.3"), "{err}");
+        cfg.initial_pe_cycles = u32::MAX;
+        assert!(cfg.validate().is_err());
     }
 
     #[test]

@@ -154,16 +154,13 @@ impl FlashDevice {
         // ipu-lint: allow(panic-reachability) — constructor contract: configs are validated at the experiment boundary, a bad one here is programmer error
         cfg.validate().expect("invalid device configuration");
         let g = &cfg.geometry;
-        let subpages = g.subpages_per_page() as u8;
-        let blocks = (0..g.total_blocks())
-            .map(|_| {
-                BlockState::erased(
-                    cfg.initial_mode,
-                    g.pages_per_block(cfg.initial_mode),
-                    subpages,
-                )
-            })
-            .collect();
+        // An erased block holds no page array, so this costs O(blocks).
+        let erased = BlockState::erased(
+            cfg.initial_mode,
+            g.pages_per_block(cfg.initial_mode),
+            g.subpages_per_page() as u8,
+        );
+        let blocks = vec![erased; g.total_blocks() as usize];
         let wear = WearTracker::new(g.total_blocks(), cfg.initial_pe_cycles);
         FlashDevice {
             cfg,
@@ -203,23 +200,14 @@ impl FlashDevice {
     /// Used at device initialization to carve out the SLC-mode cache region.
     /// Panics if the block has been programmed since its last erase.
     pub fn set_block_mode(&mut self, addr: BlockAddr, mode: CellMode) {
-        let g = self.cfg.geometry.clone();
-        let idx = g.block_index(addr) as usize;
+        let g = &self.cfg.geometry;
+        let block = &mut self.blocks[g.block_index(addr) as usize];
         assert!(
-            self.blocks[idx].is_pristine(),
+            block.is_pristine(),
             "set_block_mode requires a pristine block; erase {addr} instead"
         );
-        let subpages = g.subpages_per_page() as u8;
-        let pages = g.pages_per_block(mode);
-        // Re-shape without charging an erase: swap in a fresh state that keeps
-        // the existing erase count.
-        let erases = self.blocks[idx].erase_count();
-        let mut fresh = BlockState::erased(mode, pages, subpages);
-        for _ in 0..erases {
-            // Preserve the historical erase count on the new state.
-            fresh.erase(mode, pages, subpages);
-        }
-        self.blocks[idx] = fresh;
+        // Re-shape without charging an erase: the erase count carries over.
+        block.reformat(mode, g.pages_per_block(mode), g.subpages_per_page() as u8);
     }
 
     /// Programs `count` subpages starting at `spa` in one program operation.
@@ -533,6 +521,26 @@ mod tests {
         assert_eq!(b.page_count(), dev.config().geometry.pages_per_block_slc);
         assert_eq!(b.erase_count(), 0);
         assert_eq!(dev.wear().totals().slc_erases, 0);
+    }
+
+    #[test]
+    fn set_block_mode_keeps_the_erase_count() {
+        let mut dev = FlashDevice::new(DeviceConfig::small_for_tests());
+        let addr = BlockAddr::new(0, 0, 0, 0, 0);
+        dev.erase(addr, CellMode::Mlc);
+        dev.erase(addr, CellMode::Mlc);
+        dev.set_block_mode(addr, CellMode::Slc);
+        let b = dev.block(addr);
+        assert_eq!(b.erase_count(), 2);
+        assert_eq!(b.mode(), CellMode::Slc);
+        assert_eq!(dev.wear().totals().mlc_erases, 2);
+    }
+
+    #[test]
+    fn new_paper_scale_device_holds_no_page_arrays() {
+        let dev = FlashDevice::new(DeviceConfig::paper_scale());
+        let blocks = dev.config().geometry.total_blocks();
+        assert!((0..blocks).all(|i| !dev.block_by_index(i).has_page_array()));
     }
 
     #[test]

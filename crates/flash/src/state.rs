@@ -11,6 +11,10 @@
 //!   *after* subpage `s` was programmed (Figure 1's "affected in-page cells");
 //! * `neighbour_disturbs` — how many program operations landed on adjacent word
 //!   lines of the same block while this page held programmed data.
+//!
+//! A block holds no page array until its first state change after an erase:
+//! a replay programs only a fraction of a device's blocks, so building a
+//! device and erasing a block cost O(1) per block, not O(pages).
 
 use serde::{Deserialize, Serialize};
 
@@ -34,7 +38,7 @@ pub enum SubpageState {
 }
 
 /// State of one page: subpage states, program-op budget and disturb counters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageState {
     subpages: [SubpageState; MAX_SUBPAGES_PER_PAGE],
     /// Number of subpages actually exposed by the geometry.
@@ -54,6 +58,10 @@ impl PageState {
             (1..=MAX_SUBPAGES_PER_PAGE as u8).contains(&subpage_count),
             "subpage count {subpage_count} out of range"
         );
+        Self::erased_unchecked(subpage_count)
+    }
+
+    const fn erased_unchecked(subpage_count: u8) -> Self {
         PageState {
             subpages: [SubpageState::Free; MAX_SUBPAGES_PER_PAGE],
             subpage_count,
@@ -214,7 +222,25 @@ impl std::fmt::Display for ProgramStateError {
 
 impl std::error::Error for ProgramStateError {}
 
+/// One erased page per subpage count, at index `subpage_count - 1`: what
+/// [`BlockState::page`] returns for a block that holds no page array.
+static ERASED_PAGES: [PageState; MAX_SUBPAGES_PER_PAGE] = {
+    let mut pages = [const { PageState::erased_unchecked(1) }; MAX_SUBPAGES_PER_PAGE];
+    let mut i = 1;
+    while i < MAX_SUBPAGES_PER_PAGE {
+        pages[i] = PageState::erased_unchecked(i as u8 + 1);
+        i += 1;
+    }
+    pages
+};
+
 /// State of one block: its mode, page states and erase count.
+///
+/// A fresh or erased block is only a header: mode, page count, subpage
+/// count and the cached counters. Its page array stays empty, and [`page`]
+/// answers with a shared erased page, until the first program, invalidate
+/// or `page_mut` fills in `page_count` erased pages. An erase empties the
+/// array again but keeps its allocation for the block's next cycle.
 ///
 /// Validity totals (`valid_subpages`, `invalid_subpages`,
 /// `fully_invalid_pages`) are cached and maintained by the block-level
@@ -223,9 +249,17 @@ impl std::error::Error for ProgramStateError {}
 /// the crate-internal `apply_program_at` / `invalidate_at` / `erase`
 /// methods; `page_mut` exists only for transitions that do not
 /// change subpage validity (disturb accounting).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// [`page`]: BlockState::page
+#[derive(Debug, Clone)]
 pub struct BlockState {
     mode: CellMode,
+    /// Pages exposed in the current mode.
+    page_count: u32,
+    /// Subpages per page.
+    subpages: u8,
+    /// Either empty (no page changed state since the last erase) or exactly
+    /// `page_count` pages.
     pages: Vec<PageState>,
     erase_count: u32,
     /// Program operations applied to this block since the last erase.
@@ -245,9 +279,15 @@ pub struct BlockState {
 impl BlockState {
     /// A freshly-erased block in `mode` with `pages` pages of `subpages` each.
     pub fn erased(mode: CellMode, pages: u32, subpages: u8) -> Self {
+        assert!(
+            (1..=MAX_SUBPAGES_PER_PAGE as u8).contains(&subpages),
+            "subpage count {subpages} out of range"
+        );
         BlockState {
             mode,
-            pages: (0..pages).map(|_| PageState::erased(subpages)).collect(),
+            page_count: pages,
+            subpages,
+            pages: Vec::new(),
             erase_count: 0,
             programs_since_erase: 0,
             reads_since_erase: 0,
@@ -266,7 +306,7 @@ impl BlockState {
     /// Number of pages exposed in the current mode.
     #[inline]
     pub fn page_count(&self) -> u32 {
-        self.pages.len() as u32
+        self.page_count
     }
 
     /// P/E cycles this block has consumed.
@@ -281,16 +321,45 @@ impl BlockState {
         self.programs_since_erase
     }
 
-    /// Immutable page state access.
+    /// Immutable page state access. Panics if `page` is out of range.
     #[inline]
     pub fn page(&self, page: u32) -> &PageState {
-        &self.pages[page as usize]
+        match self.pages.get(page as usize) {
+            Some(p) => p,
+            None => self.unwritten_page(page),
+        }
+    }
+
+    /// [`BlockState::page`] for a block that holds no page array.
+    #[cold]
+    fn unwritten_page(&self, page: u32) -> &'static PageState {
+        assert!(
+            self.pages.is_empty() && page < self.page_count,
+            "page {page} out of range for a block of {} pages",
+            self.page_count
+        );
+        &ERASED_PAGES[self.subpages as usize - 1]
+    }
+
+    /// Fills in `page_count` erased pages if the block holds no page array.
+    fn materialize(&mut self) {
+        if self.pages.is_empty() {
+            self.pages
+                .resize(self.page_count as usize, PageState::erased(self.subpages));
+        }
+    }
+
+    /// Whether the block holds a page array (test probe).
+    #[cfg(test)]
+    pub(crate) fn has_page_array(&self) -> bool {
+        !self.pages.is_empty()
     }
 
     /// Mutable page access for validity-neutral transitions (disturb
     /// accounting). Validity transitions must use `apply_program_at` /
     /// `invalidate_at` so the cached block totals stay correct.
     pub(crate) fn page_mut(&mut self, page: u32) -> &mut PageState {
+        self.materialize();
         &mut self.pages[page as usize]
     }
 
@@ -302,6 +371,7 @@ impl BlockState {
         start: u8,
         count: u8,
     ) -> Result<u16, ProgramStateError> {
+        self.materialize();
         let p = &mut self.pages[page as usize];
         let was_dead = p.is_programmed() && p.count(SubpageState::Valid) == 0;
         let disturbed = p.apply_program(start, count)?;
@@ -314,6 +384,7 @@ impl BlockState {
 
     /// Invalidates subpage `s` of `page`, maintaining the cached totals.
     pub(crate) fn invalidate_at(&mut self, page: u32, s: u8) -> Result<(), ProgramStateError> {
+        self.materialize();
         let p = &mut self.pages[page as usize];
         p.invalidate(s)?;
         self.valid_subpages -= 1;
@@ -340,11 +411,17 @@ impl BlockState {
 
     /// Erases the block, optionally switching mode, re-shaping the page array.
     pub(crate) fn erase(&mut self, new_mode: CellMode, pages: u32, subpages: u8) {
-        self.mode = new_mode;
-        self.pages.clear();
-        self.pages
-            .extend((0..pages).map(|_| PageState::erased(subpages)));
+        self.reformat(new_mode, pages, subpages);
         self.erase_count += 1;
+    }
+
+    /// Re-shapes the block into `mode` with every page erased, without
+    /// counting an erase. The page array is emptied, its allocation kept.
+    pub(crate) fn reformat(&mut self, mode: CellMode, pages: u32, subpages: u8) {
+        self.mode = mode;
+        self.page_count = pages;
+        self.subpages = subpages;
+        self.pages.clear();
         self.programs_since_erase = 0;
         self.reads_since_erase = 0;
         self.valid_subpages = 0;
@@ -354,12 +431,7 @@ impl BlockState {
 
     /// Total subpages across all pages. O(1): all pages share one geometry.
     pub fn total_subpages(&self) -> u32 {
-        self.pages.len() as u32
-            * self
-                .pages
-                .first()
-                .map(|p| p.subpage_count() as u32)
-                .unwrap_or(0)
+        self.page_count * self.subpages as u32
     }
 
     /// Subpages currently in `state` across all pages. O(1) from the cached
@@ -386,7 +458,8 @@ impl BlockState {
     }
 
     /// Recomputes the cached validity totals from page state and compares;
-    /// used by the FTL's invariant checker (tests / debug sweeps only).
+    /// used by the FTL's invariant checker (tests / debug sweeps only). A
+    /// block with no page array must have every total at zero.
     pub fn counters_consistent(&self) -> bool {
         let valid: u32 = self
             .pages
@@ -403,7 +476,8 @@ impl BlockState {
             .iter()
             .filter(|p| p.is_programmed() && p.count(SubpageState::Valid) == 0)
             .count() as u32;
-        valid == self.valid_subpages
+        (self.pages.is_empty() || self.pages.len() == self.page_count as usize)
+            && valid == self.valid_subpages
             && invalid == self.invalid_subpages
             && dead == self.fully_invalid_pages
     }
@@ -543,5 +617,59 @@ mod tests {
         b.erase(CellMode::Slc, 2, 4);
         assert_eq!(b.fully_invalid_pages(), 0);
         assert!(b.is_pristine());
+    }
+
+    #[test]
+    fn page_array_is_filled_on_first_change_and_emptied_by_erase() {
+        let mut b = BlockState::erased(CellMode::Mlc, 8, 4);
+        assert!(b.pages.is_empty(), "a fresh block is only a header");
+        assert!(b.counters_consistent());
+        assert_eq!(b.total_subpages(), 32);
+        assert_eq!(b.page(7), &PageState::erased(4));
+
+        b.apply_program_at(3, 0, 2).unwrap();
+        assert_eq!(b.pages.len(), 8, "the first program fills every page");
+        assert_eq!(b.page(3).count(SubpageState::Valid), 2);
+        assert_eq!(b.page(7), &PageState::erased(4));
+        assert!(b.counters_consistent());
+
+        let capacity = b.pages.capacity();
+        b.erase(CellMode::Slc, 4, 4);
+        assert!(b.pages.is_empty(), "an erased block is only a header");
+        assert_eq!(b.pages.capacity(), capacity, "erase keeps the allocation");
+        assert_eq!(b.page_count(), 4);
+        assert_eq!(b.total_subpages(), 16);
+        assert!(b.counters_consistent());
+    }
+
+    #[test]
+    fn invalidate_and_page_mut_fill_the_page_array() {
+        let mut b = BlockState::erased(CellMode::Slc, 4, 4);
+        assert_eq!(
+            b.invalidate_at(2, 1),
+            Err(ProgramStateError::NotValid(1, SubpageState::Free))
+        );
+        assert_eq!(b.pages.len(), 4);
+        assert!(b.is_pristine() && b.counters_consistent());
+
+        b.erase(CellMode::Slc, 4, 4);
+        assert_eq!(b.page_mut(0).apply_neighbour_disturb(), 0);
+        assert_eq!(b.pages.len(), 4);
+        assert!(b.counters_consistent());
+    }
+
+    #[test]
+    fn unfilled_block_reads_erased_pages_of_its_subpage_count() {
+        for n in 1..=MAX_SUBPAGES_PER_PAGE as u8 {
+            let b = BlockState::erased(CellMode::Slc, 2, n);
+            assert_eq!(b.page(1), &PageState::erased(n));
+            assert_eq!(b.total_subpages(), 2 * n as u32);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn unfilled_block_bounds_checks_pages() {
+        BlockState::erased(CellMode::Slc, 4, 4).page(4);
     }
 }
