@@ -4,9 +4,11 @@
 //!
 //! The configs pin the branches the default run never takes: greedy victim
 //! selection (`ipu_use_isr_gc = false`), a collapsed level hierarchy
-//! (`ipu_max_level = 1`), a tight packing buffer (`mga_open_page_limit = 2`)
-//! and the `heavy` fault profile with its retry ladder (block retirement,
-//! program retries, read recovery). Each golden line is
+//! (`ipu_max_level = 1`), a tight packing buffer (`mga_open_page_limit = 2`),
+//! the `heavy` fault profile with its retry ladder (block retirement,
+//! program retries, read recovery), and the event core's two non-default
+//! timing paths: run-to-completion GC (`rtc`) and read suspension at 50 µs
+//! boundaries (`suspend`). Each golden line is
 //! `{"cell":"<config>/<scheme>","report":<compact SimReport>}`.
 //!
 //! On a mismatch the test names the cell and the first differing field, and
@@ -18,13 +20,15 @@ use std::path::Path;
 
 use ipu_core::flash::FaultProfile;
 use ipu_core::ftl::SchemeKind;
+use ipu_core::sim::GcMode;
 use ipu_core::trace::PaperTrace;
 use ipu_core::{run_one, ExperimentConfig};
 use serde::Value;
 
 const GOLDEN: &str = include_str!("goldens/scheme_reports.jsonl");
 
-/// The named configs, each differing from `default` in one policy knob.
+/// The named configs, each differing from `default` in one policy or timing
+/// knob.
 fn configs() -> Vec<(&'static str, ExperimentConfig)> {
     let default = ExperimentConfig::scaled(0.01);
     let mut isr_off = default.clone();
@@ -37,12 +41,18 @@ fn configs() -> Vec<(&'static str, ExperimentConfig)> {
     let (fault, retry) = FaultProfile::named("heavy").expect("heavy is a named profile");
     heavy.device.fault = fault;
     heavy.device.retry = retry;
+    let mut rtc = default.clone();
+    rtc.timing.gc_mode = GcMode::RunToCompletion;
+    let mut suspend = default.clone();
+    suspend.timing.suspend_granularity_ns = 50_000;
     vec![
         ("default", default),
         ("isr-off", isr_off),
         ("max-level-1", max_level_1),
         ("open-limit-2", open_limit_2),
         ("heavy", heavy),
+        ("rtc", rtc),
+        ("suspend", suspend),
     ]
 }
 
