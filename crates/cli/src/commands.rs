@@ -297,8 +297,13 @@ pub fn cmd_run(args: &ParsedArgs) -> Result<String, ArgError> {
     let total = t0.elapsed().as_secs_f64();
     ipu_core::obs::disable();
     let snapshot = ipu_core::obs::snapshot();
-    let phases = ipu_core::profile::phase_breakdown(&snapshot, total);
-    out.push_str(&report::render_phase_breakdown(&phases, total));
+    // Span time is summed over the worker threads, so shares are fractions
+    // of the thread time the run had; no more than one worker per replay
+    // cell ever runs.
+    let cells = cfg.traces.len() * cfg.schemes.len();
+    let threads = cfg.effective_threads().clamp(1, cells.max(1));
+    let phases = ipu_core::profile::phase_breakdown(&snapshot, total * threads as f64);
+    out.push_str(&report::render_phase_breakdown(&phases, total, threads));
     if let Some(cache) = &cache {
         out.push_str(&cache_line(cache));
     }
@@ -345,9 +350,11 @@ pub fn cmd_profile(args: &ParsedArgs) -> Result<String, ArgError> {
         profile.wall_seconds,
         profile.sim_ops_per_sec,
     ));
+    // The profile runs sequentially: its shares are of the wall time.
     s.push_str(&report::render_phase_breakdown(
         &profile.phases,
         profile.wall_seconds,
+        1,
     ));
     s.push('\n');
     let mut t = report::TextTable::new(&["Trace", "Scheme", "requests", "wall(s)", "ops/sec"]);

@@ -42,7 +42,8 @@ pub struct PhaseWall {
     /// Spans recorded (e.g. GC rounds, FTL write calls).
     pub count: u64,
     pub wall_seconds: f64,
-    /// Fraction of the total profile wall time (0..1).
+    /// Fraction of the run's thread time (0..1): the wall time for the
+    /// sequential profile, wall time × workers for a parallel run.
     pub share: f64,
 }
 
@@ -122,8 +123,10 @@ fn accumulate_counters(counters: &mut CounterSnapshot, r: &SimReport) {
 }
 
 /// Converts an obs snapshot into the serializable per-phase breakdown,
-/// ordered by descending wall time.
-pub fn phase_breakdown(snapshot: &ObsSnapshot, total_wall_seconds: f64) -> Vec<PhaseWall> {
+/// ordered by descending wall time. `total_seconds` is the share
+/// denominator: the wall time of a sequential run, or wall time × worker
+/// threads when spans were summed over parallel workers.
+pub fn phase_breakdown(snapshot: &ObsSnapshot, total_seconds: f64) -> Vec<PhaseWall> {
     let mut phases: Vec<PhaseWall> = snapshot
         .phases
         .iter()
@@ -133,8 +136,8 @@ pub fn phase_breakdown(snapshot: &ObsSnapshot, total_wall_seconds: f64) -> Vec<P
                 phase: p.phase.label().to_string(),
                 count: p.count,
                 wall_seconds,
-                share: if total_wall_seconds > 0.0 {
-                    wall_seconds / total_wall_seconds
+                share: if total_seconds > 0.0 {
+                    wall_seconds / total_seconds
                 } else {
                     0.0
                 },

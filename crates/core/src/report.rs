@@ -466,10 +466,15 @@ pub fn render_qd_sweep(s: &QdSweepResult) -> String {
     )
 }
 
-/// The per-phase wall-time breakdown measured by `ipu-obs` spans. `total`
-/// is the wall time of everything (instrumented or not); the residual row
-/// shows time outside any span (allocation, aggregation, scheduling model).
-pub fn render_phase_breakdown(phases: &[PhaseWall], total_seconds: f64) -> String {
+/// The per-phase wall-time breakdown measured by `ipu-obs` spans.
+/// `wall_seconds` is the wall time of everything (instrumented or not) and
+/// `threads` the worker threads the run had: span time is summed over
+/// threads, so shares are fractions of `wall_seconds × threads` (the
+/// `phases` must have been computed against that total). The residual row
+/// shows thread time outside any span (allocation, aggregation, idle
+/// workers), so the rows sum to 100%.
+pub fn render_phase_breakdown(phases: &[PhaseWall], wall_seconds: f64, threads: usize) -> String {
+    let total_seconds = wall_seconds * threads as f64;
     let mut t = TextTable::new(&["Phase", "spans", "wall(s)", "share"]);
     let mut covered = 0.0;
     for p in phases {
@@ -492,8 +497,13 @@ pub fn render_phase_breakdown(phases: &[PhaseWall], total_seconds: f64) -> Strin
             0.0
         }),
     ]);
+    let denominator = if threads > 1 {
+        format!(", shares of {threads} threads × {wall_seconds:.3} s wall = {total_seconds:.3} thread-s")
+    } else {
+        String::new()
+    };
     format!(
-        "Phase breakdown — exclusive wall time per instrumented phase\n{}",
+        "Phase breakdown — exclusive wall time per instrumented phase{denominator}\n{}",
         t.render()
     )
 }
@@ -572,16 +582,33 @@ mod tests {
                 share: 0.25,
             },
         ];
-        let text = render_phase_breakdown(&phases, 1.0);
+        let text = render_phase_breakdown(&phases, 1.0, 1);
         assert!(text.contains("Phase breakdown"));
         assert!(text.contains("ftl_write"));
         assert!(text.contains("gc"));
         // Residual row accounts for the uninstrumented 0.15s.
         assert!(text.contains("(uninstrumented)"));
         assert!(text.contains("15.0%"));
+        // One thread: the denominator is the wall time, as it always was.
+        assert!(!text.contains("thread-s"));
         // Degenerate zero-length profile renders without dividing by zero.
-        let empty = render_phase_breakdown(&[], 0.0);
+        let empty = render_phase_breakdown(&[], 0.0, 1);
         assert!(empty.contains("(uninstrumented)"));
+    }
+
+    #[test]
+    fn phase_breakdown_divides_by_thread_time() {
+        // 2 threads × 1 s wall: 1.5 thread-seconds in spans, 0.5 residual.
+        let phases = vec![PhaseWall {
+            phase: "ftl_write".into(),
+            count: 10,
+            wall_seconds: 1.5,
+            share: 0.75,
+        }];
+        let text = render_phase_breakdown(&phases, 1.0, 2);
+        assert!(text.contains("2 threads × 1.000 s wall = 2.000 thread-s"));
+        assert!(text.contains("75.0%"));
+        assert!(text.contains("25.0%"), "residual is a quarter:\n{text}");
     }
 
     #[test]

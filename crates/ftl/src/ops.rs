@@ -36,8 +36,9 @@ impl FlashOpKind {
     }
 }
 
-/// Why a background round of operations was started. The replay engines use
-/// the origin to classify the round's pulses as GC-step or scrub-step events.
+/// Why a background round of operations was started. The event core times
+/// every origin alike; the origin lets latency attribution tell GC wait from
+/// scrub and wear-leveling wait.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum RoundOrigin {
     /// Garbage collection (SLC or MLC victim reclaim, emergency reclaim).

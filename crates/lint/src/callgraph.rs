@@ -27,7 +27,7 @@
 //!   trait default bodies — the per-request dispatch surface;
 //! * `FlashDevice::{program, read, read_scaled, try_erase}` — the flash
 //!   array entry points (crate `flash`);
-//! * every method of `EventCore` (crate `sim`) — the event-heap dispatch
+//! * every method of `EventCore` (crate `sim`) — the event-core dispatch
 //!   machinery that interleaves GC/scrub pulses with host ops.
 //!
 //! A *panicking token* inside any reachable fn is a finding: `.unwrap(` /

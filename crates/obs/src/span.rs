@@ -28,6 +28,9 @@ pub enum Phase {
     Migration,
     /// ECC retry-ladder walks on uncorrectable reads.
     EccRetry,
+    /// The discrete-event core: each request's `advance_to` + `dispatch`
+    /// pair and the final `finish`, as the replay drivers call them.
+    EventCore,
     /// Closed-loop host machinery: queues, arbitration, admission.
     HostArbitration,
     /// Report rendering and result serialization.
@@ -36,13 +39,14 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in display order.
-    pub const ALL: [Phase; 8] = [
+    pub const ALL: [Phase; 9] = [
         Phase::TraceDecode,
         Phase::FtlWrite,
         Phase::FtlRead,
         Phase::Gc,
         Phase::Migration,
         Phase::EccRetry,
+        Phase::EventCore,
         Phase::HostArbitration,
         Phase::Report,
     ];
@@ -56,6 +60,7 @@ impl Phase {
             Phase::Gc => "gc",
             Phase::Migration => "migration",
             Phase::EccRetry => "ecc_retry",
+            Phase::EventCore => "event_core",
             Phase::HostArbitration => "host_arbitration",
             Phase::Report => "report",
         }
@@ -180,23 +185,33 @@ pub fn span(phase: Phase) -> Span {
 }
 
 impl Drop for Span {
+    /// A disarmed span's drop is one branch, inlined into the caller; only
+    /// an armed span pays for the call that records it.
+    #[inline]
     fn drop(&mut self) {
-        let Some(start) = self.start else { return };
-        let elapsed = start.elapsed().as_nanos() as u64;
-        STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            // The frame this guard pushed is the top of the stack: spans are
-            // strictly scoped, so drops happen in reverse open order.
-            let frame = stack.pop().expect("span stack underflow");
-            debug_assert_eq!(frame.phase, self.phase.index());
-            let self_ns = elapsed.saturating_sub(frame.child_ns);
-            SELF_NS[frame.phase].fetch_add(self_ns, Ordering::Relaxed);
-            COUNT[frame.phase].fetch_add(1, Ordering::Relaxed);
-            if let Some(parent) = stack.last_mut() {
-                parent.child_ns += elapsed;
-            }
-        });
+        if let Some(start) = self.start {
+            close(self.phase, start);
+        }
     }
+}
+
+/// Records an armed span that opened at `start`.
+#[inline(never)]
+fn close(phase: Phase, start: Instant) {
+    let elapsed = start.elapsed().as_nanos() as u64;
+    STACK.with(|s| {
+        let mut stack = s.borrow_mut();
+        // The frame this guard pushed is the top of the stack: spans are
+        // strictly scoped, so drops happen in reverse open order.
+        let frame = stack.pop().expect("span stack underflow");
+        debug_assert_eq!(frame.phase, phase.index());
+        let self_ns = elapsed.saturating_sub(frame.child_ns);
+        SELF_NS[frame.phase].fetch_add(self_ns, Ordering::Relaxed);
+        COUNT[frame.phase].fetch_add(1, Ordering::Relaxed);
+        if let Some(parent) = stack.last_mut() {
+            parent.child_ns += elapsed;
+        }
+    });
 }
 
 /// Records a point event into the bounded event buffer (see

@@ -97,16 +97,20 @@ pub fn replay_closed_loop_detailed(
             ipu_ftl::ReqStatus::Recovered => reliability.record_recovered(),
             ipu_ftl::ReqStatus::Failed => reliability.record_failed(),
         }
-        // Run every event preceding this dispatch (completed pulses free the
-        // write channel; admission is re-evaluated by the host loop as
-        // completions land), then dispatch onto the event core.
+        // Run every background pulse that starts before this dispatch (the
+        // host loop re-evaluates admission as completions land), then
+        // dispatch onto the event core.
+        let _span = ipu_obs::span(ipu_obs::Phase::EventCore);
         core.advance_to(dispatch);
         core.dispatch(dispatch, &batch, req.op)
     });
 
-    // Drain the event heap before reporting (matches the open-loop engine's
-    // report-time accounting).
-    core.finish();
+    // Run the queued background work before reporting (matches the
+    // open-loop engine's report-time accounting).
+    {
+        let _span = ipu_obs::span(ipu_obs::Phase::EventCore);
+        core.finish();
+    }
 
     // Queue service latency (admission→completion) split by op kind, plus
     // the admission stall (arrival→admission) as its own population.

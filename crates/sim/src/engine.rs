@@ -145,12 +145,11 @@ pub fn replay(cfg: &ReplayConfig, requests: &[IoRequest], trace_name: &str) -> S
 /// completed requests, plus exactly one final call at `(total, total)` (also
 /// for empty traces).
 ///
-/// The replay runs on the discrete-event core
-/// ([`EventCore`]): op-issue events come from
-/// the already-sorted request stream, and op-complete / GC-step / scrub-step
-/// events interleave on the heap. With the default [`TimingConfig`] the
-/// timeline is bit-identical to [`replay_oracle`] (pinned by the
-/// `event_core_equivalence` property test).
+/// The replay runs on the discrete-event core ([`EventCore`]): requests
+/// issue in the already-sorted stream's order, and before each one the core
+/// runs the queued GC / scrub pulses whose start has passed. With the
+/// default [`TimingConfig`] the timeline is bit-identical to
+/// [`replay_oracle`] (pinned by the `event_core_equivalence` property test).
 pub fn replay_with_progress(
     cfg: &ReplayConfig,
     requests: &[IoRequest],
@@ -186,11 +185,15 @@ pub fn replay_with_progress(
             ipu_ftl::ReqStatus::Failed => reliability.record_failed(),
         }
 
-        // Run every event that precedes this issue, then dispatch: host reads
-        // get read priority, host writes are serviced FIFO per chip, and each
-        // background round becomes a resumable step sequence.
-        core.advance_to(now);
-        core.dispatch(now, &batch, req.op);
+        // Run every background pulse that starts before this issue, then
+        // dispatch: host reads get read priority, host writes are serviced
+        // FIFO per chip, and each background round becomes a resumable pulse
+        // sequence.
+        {
+            let _span = ipu_obs::span(ipu_obs::Phase::EventCore);
+            core.advance_to(now);
+            core.dispatch(now, &batch, req.op);
+        }
 
         let done = i as u64 + 1;
         if done.is_multiple_of(65_536) && done < total {
@@ -199,10 +202,12 @@ pub fn replay_with_progress(
     }
     progress(total, total);
 
-    // Drain the heap: pending completions record their latencies and deferred
-    // background GC runs to completion, so the report's accounting is not cut
-    // off by a read-only or idle trace tail.
-    core.finish();
+    // Run the background work still queued, so the report's accounting is
+    // not cut off by a read-only or idle trace tail.
+    {
+        let _span = ipu_obs::span(ipu_obs::Phase::EventCore);
+        core.finish();
+    }
 
     let mapping = ftl.mapping_memory(&dev);
     SimReport {

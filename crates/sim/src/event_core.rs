@@ -1,52 +1,61 @@
-//! Discrete-event replay core: an explicit event heap interleaving host
-//! operations with background GC, scrub and wear-leveling *steps*.
+//! Discrete-event replay core: host operations interleaved with background
+//! GC, scrub and wear-leveling rounds, timed NAND pulse by NAND pulse.
 //!
-//! The inline engine ([`ChipSchedule`](crate::resources::ChipSchedule)) models
-//! background work as a lazily-drained per-chip queue: correct, but the drain
-//! happens as a side effect of host scheduling, so GC interference is never an
-//! explicit event that other machinery (preemption policies, suspension
-//! models, instrumentation) can hook. [`EventCore`] makes the same timeline
-//! event-driven: a `BinaryHeap<Reverse<Event>>` carries op-complete, GC-step
-//! and scrub-step events (op-issue events are merged in from the replay
-//! driver's already-sorted request stream), and every background round is a
-//! resumable sequence of NAND-pulse steps.
+//! The inline engine ([`ChipSchedule`](crate::resources::ChipSchedule)) drains
+//! background work lazily, as a side effect of host scheduling. [`EventCore`]
+//! keeps every background round as a resumable queue of pulses on each chip
+//! and runs them explicitly as simulated time passes their start, so GC
+//! interference is a part of the timeline that preemption policies and
+//! suspension models act on.
 //!
-//! # Determinism and tie-breaking
+//! There is no event queue. A request's latency is known as soon as
+//! [`dispatch`](EventCore::dispatch) has scheduled its host operations, so
+//! `dispatch` records it. Background pulses wait in per-chip FIFOs, and
+//! [`advance_to`](EventCore::advance_to) runs them chip by chip.
 //!
-//! Events are ordered by `(time, class, seq)`:
+//! # What `advance_to(t)` runs
 //!
-//! * `time` — simulated nanoseconds;
-//! * `class` — same-instant causal order: op-complete (0) < op-issue (1) <
-//!   GC-step (2) < scrub-step (3). Completions settle before new work issues,
-//!   and a host op issued at time *t* beats a background pulse that could
-//!   start at *t* — host work wins ties, exactly like the inline engine's
-//!   strict-`<` drain;
-//! * `seq` — a monotonically increasing tie-breaker, so the order is total
-//!   and replays are bit-deterministic.
+//! Every queued pulse whose start, `max(busy_until, enq)` on its chip, is
+//! **strictly** before `t`, in FIFO order per chip. A pulse that could start
+//! exactly at `t` waits: a host operation issued at `t` wins the write
+//! channel, exactly like the inline engine's strict-`<` drain. Under
+//! [`GcMode::RunToCompletion`] the rest of a started round runs
+//! back-to-back behind its first pulse. [`finish`](EventCore::finish) runs
+//! everything still queued, as an idle drive would.
 //!
-//! With the default [`TimingConfig`] the core is **bit-identical** to the
-//! inline oracle engine ([`replay_oracle`](crate::engine::replay_oracle)):
-//! background pulses execute at exactly the start times the lazy drain would
-//! compute, host operations preempt rounds at pulse boundaries, and reads
-//! never wait for the write channel. The property test
-//! `crates/sim/tests/event_core_equivalence.rs` pins this for all schemes.
+//! A pulse's start only grows as host work lands on its chip, so the core
+//! keeps a lower bound on the earliest start of any queued pulse and returns
+//! from `advance_to` in O(1) until `t` passes it.
 //!
-//! # Adding a new event
+//! # Why cross-chip order cannot matter
 //!
-//! 1. Add a variant to the private `EventKind` and give it a class constant
-//!    (insert it into the same-instant order deliberately — anything that
-//!    *consumes* device time should sort after op-issue so host work keeps
-//!    winning ties).
-//! 2. Push it with `EventCore::push_event`'s pattern (time, class, payload);
-//!    `seq` is assigned automatically.
-//! 3. Handle it in `handle()`. Handlers may push follow-up events; they must
-//!    never push an event strictly in the past.
+//! Running a pulse reads and writes only its own chip's state
+//! (`busy_until` and the last background span) and adds its duration to the
+//! total background time. Chips share nothing else, and a sum does not
+//! depend on the order of its terms. So draining chip 0 completely before
+//! chip 1 leaves the same state as any time-ordered interleaving. Under the
+//! default [`TimingConfig`] the core is **bit-identical** to the inline
+//! oracle engine ([`replay_oracle`](crate::engine::replay_oracle)): the
+//! property test `crates/sim/tests/event_core_equivalence.rs` pins this for
+//! all schemes, and the scheme goldens in `crates/core/tests` pin the
+//! run-to-completion and read-suspension paths.
+//!
+//! # Adding a background source
+//!
+//! 1. Have the FTL open a round with [`OpBatch::begin_background_round`]
+//!    and a [`RoundOrigin`](ipu_ftl::RoundOrigin) naming the source, then
+//!    push its pulses as background ops. `dispatch` queues them on their
+//!    chips; nothing here changes.
+//! 2. If the source needs a timing rule of its own, apply it in the per-chip
+//!    drain (`ChipState::run_before`). The rule may read its own chip's
+//!    state and `t`, never another chip's: that is what keeps the drain
+//!    order free.
+//! 3. Add a config that exercises the rule to the scheme goldens.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use ipu_flash::Nanos;
-use ipu_ftl::{FlashOpKind, OpBatch, RoundOrigin};
+use ipu_ftl::{FlashOpKind, OpBatch};
 use ipu_host::metrics::LatencyStats;
 use ipu_trace::OpKind;
 use serde::{Deserialize, Serialize};
@@ -85,47 +94,9 @@ pub struct TimingConfig {
     pub suspend_granularity_ns: Nanos,
 }
 
-/// Same-instant event order: completions settle first.
-const CLASS_COMPLETE: u8 = 0;
-/// Op-issue slot. Issue events come from the driver's merged request stream,
-/// not the heap; the class reserves their place in the same-instant order.
-const CLASS_ISSUE: u8 = 1;
-/// Background GC (and wear-leveling) pulse wakeups.
-const CLASS_GC_STEP: u8 = 2;
-/// Background scrub pulse wakeups.
-const CLASS_SCRUB_STEP: u8 = 3;
-
 /// Stray background ops (emitted outside any tagged round) get unique
 /// synthetic round ids in a disjoint id space so they never fuse.
 const STRAY_ROUND_BIT: u64 = 1 << 63;
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum EventKind {
-    /// A host request's last host-visible operation finished.
-    Complete { latency: Nanos, op: OpKind },
-    /// A chip may have background steps whose start time has arrived.
-    BgWake { chip: u32 },
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Event {
-    time: Nanos,
-    class: u8,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.class, self.seq).cmp(&(other.time, other.class, other.seq))
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
 
 /// One NAND pulse of a background round.
 #[derive(Debug, Clone)]
@@ -136,8 +107,6 @@ struct BgStep {
     dur: Nanos,
     /// Globally unique round id (steps of one round share it).
     round: u64,
-    /// Whether the round is a scrub pass (scrub-step event class).
-    scrub: bool,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -148,23 +117,54 @@ struct ChipState {
     read_until: Nanos,
     /// Pending background pulses, FIFO.
     bg: VecDeque<BgStep>,
-    /// Time of the single outstanding `BgWake` event, if any.
-    wake_at: Option<Nanos>,
     /// Most recently executed background span on the write channel
     /// `(start, end)` — one pulse, or a whole fused round under
     /// [`GcMode::RunToCompletion`]. Drives read suspension charging.
     last_bg_pulse: Option<(Nanos, Nanos)>,
 }
 
+impl ChipState {
+    /// Start of the front queued pulse, if any.
+    fn next_start(&self) -> Option<Nanos> {
+        self.bg.front().map(|s| self.busy_until.max(s.enq))
+    }
+
+    /// Runs, in FIFO order, every queued pulse that starts before `t`;
+    /// returns the background nanoseconds executed.
+    fn run_before(&mut self, t: Nanos, mode: GcMode) -> Nanos {
+        let mut done = 0;
+        while let Some(start) = self.next_start().filter(|&s| s < t) {
+            let Some(step) = self.bg.pop_front() else {
+                break;
+            };
+            self.busy_until = start + step.dur;
+            done += step.dur;
+            if mode == GcMode::RunToCompletion {
+                // The rest of this round runs back-to-back, uninterruptible.
+                while self.bg.front().is_some_and(|s| s.round == step.round) {
+                    let Some(next) = self.bg.pop_front() else {
+                        break;
+                    };
+                    self.busy_until += next.dur;
+                    done += next.dur;
+                }
+            }
+            self.last_bg_pulse = Some((start, self.busy_until));
+        }
+        done
+    }
+}
+
 /// The discrete-event engine state: per-chip channel horizons, resumable
-/// background rounds, the event heap and the latency aggregates recorded by
-/// op-complete events.
+/// background rounds, and the latency aggregates recorded at dispatch.
 #[derive(Debug, Clone)]
 pub struct EventCore {
     cfg: TimingConfig,
     chips: Vec<ChipState>,
-    heap: BinaryHeap<Reverse<Event>>,
-    seq: u64,
+    /// Lower bound on the start of every queued background pulse
+    /// (`Nanos::MAX` when none is queued): `advance_to(t)` has nothing to
+    /// run while `t <= next_wake`.
+    next_wake: Nanos,
     /// Global round-id base; each dispatched batch maps its local round ids
     /// (1..) into `round_base + id`.
     round_base: u64,
@@ -187,8 +187,7 @@ impl EventCore {
         EventCore {
             cfg,
             chips: vec![ChipState::default(); chips as usize],
-            heap: BinaryHeap::new(),
-            seq: 0,
+            next_wake: Nanos::MAX,
             round_base: 0,
             stray_rounds: 0,
             host_busy: 0,
@@ -201,111 +200,38 @@ impl EventCore {
         }
     }
 
-    fn push_event(&mut self, time: Nanos, class: u8, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Event {
-            time,
-            class,
-            seq,
-            kind,
-        }));
-    }
-
-    /// Processes every event that precedes an op-issue at time `t` in the
-    /// `(time, class)` order. Drivers call this immediately before
-    /// dispatching a request issued at `t`; a non-monotone `t` is a no-op.
+    /// Runs every queued background pulse that starts strictly before `t`
+    /// (see the module docs). Drivers call this immediately before
+    /// dispatching a request issued at `t`.
+    #[inline]
     pub fn advance_to(&mut self, t: Nanos) {
-        while let Some(Reverse(ev)) = self.heap.peek() {
-            if ev.time > t || (ev.time == t && ev.class >= CLASS_ISSUE) {
-                break;
-            }
-            let Some(Reverse(ev)) = self.heap.pop() else {
-                break;
-            };
-            self.handle(ev);
+        if t > self.next_wake {
+            self.drain_before(t);
         }
     }
 
-    /// Drains the heap completely: all pending completions are recorded and
-    /// every queued background step runs, as an idle drive would. Call once
-    /// before building a report.
+    /// Runs every queued background pulse, as an idle drive would. Call once
+    /// before building a report; latencies need no draining, `dispatch`
+    /// records them.
     pub fn finish(&mut self) {
-        while let Some(Reverse(ev)) = self.heap.pop() {
-            self.handle(ev);
-        }
+        // Simulated time never reaches `Nanos::MAX` (584 years), so every
+        // queued pulse starts before it.
+        self.drain_before(Nanos::MAX);
     }
 
-    fn handle(&mut self, ev: Event) {
-        match ev.kind {
-            EventKind::Complete { latency, op } => {
-                self.overall_latency.record(latency);
-                match op {
-                    OpKind::Read => self.read_latency.record(latency),
-                    OpKind::Write => self.write_latency.record(latency),
-                }
-            }
-            EventKind::BgWake { chip } => self.bg_wake(chip, ev.time),
-        }
-    }
-
-    /// Runs background steps on `chip` whose start time has arrived (`now`),
-    /// then re-arms the wakeup for the next pending step, if any.
-    fn bg_wake(&mut self, chip: u32, now: Nanos) {
-        let c = chip as usize;
-        self.chips[c].wake_at = None;
-        loop {
-            let Some(front) = self.chips[c].bg.front() else {
-                return;
-            };
-            let start = self.chips[c].busy_until.max(front.enq);
-            let scrub = front.scrub;
-            if start > now {
-                // Stale wakeup: host work pushed the start out. Re-arm.
-                self.schedule_wake(chip, start, scrub);
-                return;
-            }
-            let round = front.round;
-            let first = self.exec_bg_step(c, start);
-            let mut span = (first, self.chips[c].busy_until);
-            if self.cfg.gc_mode == GcMode::RunToCompletion {
-                // The rest of this round runs back-to-back, uninterruptible.
-                while self.chips[c].bg.front().is_some_and(|s| s.round == round) {
-                    let at = self.chips[c].busy_until;
-                    self.exec_bg_step(c, at);
-                    span.1 = self.chips[c].busy_until;
-                }
-                self.chips[c].last_bg_pulse = Some(span);
+    /// The out-of-line body of `advance_to`: drains each chip in turn, then
+    /// makes `next_wake` exact again.
+    #[inline(never)]
+    fn drain_before(&mut self, t: Nanos) {
+        let mode = self.cfg.gc_mode;
+        let mut next_wake = Nanos::MAX;
+        for chip in &mut self.chips {
+            self.background_done += chip.run_before(t, mode);
+            if let Some(start) = chip.next_start() {
+                next_wake = next_wake.min(start);
             }
         }
-    }
-
-    /// Executes the front background step of chip `c` at `start`; returns
-    /// the pulse start.
-    fn exec_bg_step(&mut self, c: usize, start: Nanos) -> Nanos {
-        // bg_wake only calls this with a non-empty queue.
-        let Some(step) = self.chips[c].bg.pop_front() else {
-            return start;
-        };
-        let end = start + step.dur;
-        self.chips[c].busy_until = end;
-        self.chips[c].last_bg_pulse = Some((start, end));
-        self.background_done += step.dur;
-        start
-    }
-
-    /// Arms (or keeps) the single outstanding wakeup for `chip` at `at`.
-    fn schedule_wake(&mut self, chip: u32, at: Nanos, scrub: bool) {
-        if self.chips[chip as usize].wake_at.is_some() {
-            return;
-        }
-        self.chips[chip as usize].wake_at = Some(at);
-        let class = if scrub {
-            CLASS_SCRUB_STEP
-        } else {
-            CLASS_GC_STEP
-        };
-        self.push_event(at, class, EventKind::BgWake { chip });
+        self.next_wake = next_wake;
     }
 
     /// Schedules a host write/erase pulse; returns its end time.
@@ -342,24 +268,19 @@ impl EventCore {
         start + dur
     }
 
-    /// Enqueues one background pulse and arms the chip's wakeup.
-    fn enqueue_bg(&mut self, chip: u32, enq: Nanos, dur: Nanos, round: u64, scrub: bool) {
-        let c = chip as usize;
-        self.chips[c].bg.push_back(BgStep {
-            enq,
-            dur,
-            round,
-            scrub,
-        });
-        let start = self.chips[c].busy_until.max(enq);
-        self.schedule_wake(chip, start, scrub);
+    /// Queues one background pulse on `chip`.
+    fn enqueue_bg(&mut self, chip: u32, enq: Nanos, dur: Nanos, round: u64) {
+        let c = &mut self.chips[chip as usize];
+        c.bg.push_back(BgStep { enq, dur, round });
+        // Host work can only push the start later, so this stays a bound.
+        self.next_wake = self.next_wake.min(c.busy_until.max(enq));
     }
 
     /// Dispatches one host request issued at `now`: executes its host
     /// operations (reads with read priority, writes/erases FIFO behind the
-    /// write channel), enqueues its background rounds as resumable step
-    /// sequences, and pushes the request's op-complete event. Returns the
-    /// completion time. Callers must `advance_to(now)` first.
+    /// write channel), queues its background rounds as resumable pulse
+    /// sequences, and records the request's latency. Returns the completion
+    /// time. Callers must `advance_to(now)` first.
     pub fn dispatch(&mut self, now: Nanos, batch: &OpBatch, op: OpKind) -> Nanos {
         let mut completion = now;
         for rec in &batch.ops {
@@ -371,26 +292,23 @@ impl EventCore {
                     completion = completion.max(self.exec_host(rec.chip, now, rec.latency_ns));
                 }
                 FlashOpKind::GcRead | FlashOpKind::GcProgram | FlashOpKind::Erase => {
-                    let (round, scrub) = if rec.round == 0 {
+                    let round = if rec.round == 0 {
                         self.stray_rounds += 1;
-                        (STRAY_ROUND_BIT | self.stray_rounds, false)
+                        STRAY_ROUND_BIT | self.stray_rounds
                     } else {
-                        let scrub = batch.round_origin(rec.round) == Some(RoundOrigin::Scrub);
-                        (self.round_base + rec.round as u64, scrub)
+                        self.round_base + rec.round as u64
                     };
-                    self.enqueue_bg(rec.chip, now, rec.latency_ns, round, scrub);
+                    self.enqueue_bg(rec.chip, now, rec.latency_ns, round);
                 }
             }
         }
         self.round_base += batch.rounds_used() as u64;
-        self.push_event(
-            completion,
-            CLASS_COMPLETE,
-            EventKind::Complete {
-                latency: completion - now,
-                op,
-            },
-        );
+        let latency = completion - now;
+        self.overall_latency.record(latency);
+        match op {
+            OpKind::Read => self.read_latency.record(latency),
+            OpKind::Write => self.write_latency.record(latency),
+        }
         completion
     }
 
@@ -449,17 +367,17 @@ impl EventCore {
         self.suspension_wait
     }
 
-    /// Host-visible read-request latencies recorded by op-complete events.
+    /// Host-visible read-request latencies, recorded at dispatch.
     pub fn read_latency(&self) -> &LatencyStats {
         &self.read_latency
     }
 
-    /// Host-visible write-request latencies recorded by op-complete events.
+    /// Host-visible write-request latencies, recorded at dispatch.
     pub fn write_latency(&self) -> &LatencyStats {
         &self.write_latency
     }
 
-    /// All recorded request latencies.
+    /// All request latencies, recorded at dispatch.
     pub fn overall_latency(&self) -> &LatencyStats {
         &self.overall_latency
     }
@@ -468,6 +386,7 @@ impl EventCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipu_ftl::RoundOrigin;
 
     fn gc_round(chip: u32, pulses: &[Nanos]) -> OpBatch {
         let mut b = OpBatch::new();
@@ -559,15 +478,15 @@ mod tests {
     }
 
     /// Same-instant tie: a host op issued at exactly the time a background
-    /// pulse could start wins the write channel (class order puts op-issue
-    /// before GC-step).
+    /// pulse could start wins the write channel (`advance_to(t)` runs only
+    /// pulses that start strictly before `t`).
     #[test]
     fn host_wins_same_instant_tie_against_background() {
         let mut core = EventCore::new(1, cfg(GcMode::Preemptible));
         core.advance_to(0);
         core.dispatch(0, &gc_round(0, &[5_000]), OpKind::Write);
-        // The pulse's wakeup is armed for t=0, but the next issue is also
-        // at t=0: advance_to(0) must not run the pulse first.
+        // The pulse could start at t=0, but the next issue is also at t=0:
+        // advance_to(0) must not run the pulse first.
         core.advance_to(0);
         assert_eq!(core.background_done(), 0);
         let completion = core.dispatch(0, &host_write(0, 10), OpKind::Write);
@@ -628,8 +547,7 @@ mod tests {
         assert_eq!(core.busy_until(1), 30);
     }
 
-    /// Op-complete events record latencies identically regardless of when
-    /// the heap drains them.
+    /// Every request's latency lands in the overall and per-op populations.
     #[test]
     fn completions_record_request_latencies() {
         let mut core = EventCore::new(1, cfg(GcMode::Preemptible));
@@ -645,5 +563,49 @@ mod tests {
         assert_eq!(core.read_latency().max_ns(), 40);
         assert_eq!(core.host_busy(), 100);
         assert_eq!(core.read_busy(), 40);
+    }
+
+    /// A host write on chip 0 pushes its queued pulse's start past `t`
+    /// while chip 1's pulse is due: chip 1's runs, chip 0's waits for the
+    /// write and runs only once time passes its new start.
+    #[test]
+    fn host_write_delays_one_chip_while_another_drains() {
+        let mut core = EventCore::new(2, cfg(GcMode::Preemptible));
+        let mut b = gc_round(0, &[400]);
+        b.push(1, FlashOpKind::GcRead, 300);
+        core.advance_to(0);
+        core.dispatch(0, &b, OpKind::Write);
+        // Same instant: the host write wins chip 0, so its pulse now starts
+        // at 1_000 rather than 0.
+        core.dispatch(0, &host_write(0, 1_000), OpKind::Write);
+        core.advance_to(500);
+        assert_eq!(core.background_done(), 300, "only chip 1's pulse ran");
+        assert_eq!(core.busy_until(1), 300);
+        assert_eq!(core.busy_until(0), 1_000);
+        assert_eq!(core.background_backlog(), 400);
+        // t = 1_000 is a tie with the pulse's start: host work would win.
+        core.advance_to(1_000);
+        assert_eq!(core.background_done(), 300);
+        core.advance_to(1_001);
+        assert_eq!(core.background_done(), 700);
+        assert_eq!(core.busy_until(0), 1_400);
+        assert_eq!(core.background_backlog(), 0);
+    }
+
+    /// A request's latency is recorded by `dispatch` itself: it is counted
+    /// before `advance_to` or `finish` runs, even with background work still
+    /// queued.
+    #[test]
+    fn latency_is_recorded_at_dispatch() {
+        let mut core = EventCore::new(1, cfg(GcMode::Preemptible));
+        core.advance_to(0);
+        let mut b = gc_round(0, &[5_000]);
+        b.push(0, FlashOpKind::HostProgram, 250);
+        let completion = core.dispatch(0, &b, OpKind::Write);
+        assert_eq!(completion, 250);
+        assert_eq!(core.overall_latency().count(), 1);
+        assert_eq!(core.write_latency().max_ns(), 250);
+        assert_eq!(core.read_latency().count(), 0);
+        assert_eq!(core.background_backlog(), 5_000);
     }
 }

@@ -1,4 +1,4 @@
-//! The event-heap replay core against its oracle.
+//! The discrete-event replay core against its oracle.
 //!
 //! Two pins from ISSUE 9: (1) with the default timing model the event core is
 //! **bit-identical** to the retained inline engine (`replay_oracle`) — checked
