@@ -37,8 +37,8 @@ impl FlashOpKind {
 }
 
 /// Why a background round of operations was started. The event core times
-/// every origin alike; the origin lets latency attribution tell GC wait from
-/// scrub and wear-leveling wait.
+/// every origin alike; the origin is kept so that a request's wait can be
+/// attributed to GC, scrub or wear-leveling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum RoundOrigin {
     /// Garbage collection (SLC or MLC victim reclaim, emergency reclaim).
