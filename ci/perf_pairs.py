@@ -17,10 +17,21 @@ and third quartiles, and in how many of the N pairs the change was lower.
 `gap>IQR` marks a metric whose medians differ by more than the base's
 interquartile range.
 
-Exits non-zero if any run fails its checks (`correct` false or failed
-operations), or if, within a pair, any `sim_*` metric or the per-scheme
-counter fingerprint the benchmark prints on standard error differs: both
-builds must simulate exactly the same thing.
+Then it prints one verdict line per workload. A workload regresses when
+the change's `wall_s` is higher than the base's in at least 9 of every 10
+pairs; a tie counts for neither side. This is the rule the benchmark
+pipeline applies to a claimed gain, turned around. CI's perf-gate job runs
+`--base <parent> --pairs 10 --seconds 3`; trials of that configuration on
+a planted slowdown and on an unmodified tree are recorded in CHANGES.md.
+
+Exits 1 if any workload regresses, if any run fails its checks (`correct`
+false or failed operations), or if, within a pair, any `sim_*` metric or
+the per-scheme counter fingerprint the benchmark prints on standard error
+differs: both builds must simulate exactly the same thing. The one
+exception is a change that rewrites the scheme goldens
+(`crates/core/tests/goldens/scheme_reports.jsonl`) relative to REV: it
+moves simulated outputs on purpose, so a workload whose simulated work
+differs is reported, with its timing verdict, but does not fail the run.
 
 Only the Python standard library is used. Run it from the repository root.
 The work directory (default `target/perf_pairs`) keeps the exported tree
@@ -31,6 +42,7 @@ what changed in the working tree.
 import argparse
 import io
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -38,6 +50,12 @@ import sys
 import tarfile
 
 WORKLOADS = "write-gc,read-mostly,closed-qd64,fleet-ladder"
+# The regression verdict: the change is slower on `VERDICT_METRIC` in at
+# least this share of the pairs (9 of 10).
+VERDICT_METRIC = "wall_s"
+SLOWER_SHARE = 0.9
+# A change to this file moves simulated outputs on purpose.
+GOLDENS = "crates/core/tests/goldens/scheme_reports.jsonl"
 # A run stays well inside perfbench/run.py's limit; this only stops a hung
 # process.
 RUN_TIMEOUT_S = 170
@@ -85,12 +103,21 @@ def run_once(exe, workload, seed, seconds, trace):
     return result, fingerprint
 
 
-def pair_problems(workload, seed, base, change):
-    """What differs between a pair that must not: checks and simulated values."""
+def goldens_changed(rev):
+    """Whether the working tree's scheme goldens differ from `rev`'s."""
+    return subprocess.run(["git", "diff", "--quiet", rev, "--", GOLDENS]).returncode != 0
+
+
+def run_failures(workload, seed, base, change):
+    """Runs that failed their own checks; these always fail the gate."""
+    return [f"{workload} seed {seed}: {side} run failed its checks"
+            for side, (result, _) in (("base", base), ("change", change))
+            if not result["correct"] or result["failed"]]
+
+
+def sim_mismatches(workload, seed, base, change):
+    """Simulated values that differ within a pair: `sim_*` and fingerprints."""
     problems = []
-    for side, (result, _) in (("base", base), ("change", change)):
-        if not result["correct"] or result["failed"]:
-            problems.append(f"{workload} seed {seed}: {side} run failed its checks")
     for name, m in base[0]["metrics"].items():
         other = change[0]["metrics"].get(name)
         if name.startswith("sim_") and (other is None or other["value"] != m["value"]):
@@ -99,6 +126,31 @@ def pair_problems(workload, seed, base, change):
     if base[1] != change[1]:
         problems.append(f"{workload} seed {seed}: counter fingerprints differ")
     return problems
+
+
+def timing_verdict(base, change):
+    """Pairs where the change was slower and faster, the median delta, and
+    whether that is a regression. `base` and `change` are the paired
+    `VERDICT_METRIC` values, pair by pair."""
+    slower = sum(c > b for b, c in zip(base, change))
+    faster = sum(c < b for b, c in zip(base, change))
+    base_med = statistics.median(base)
+    delta = (statistics.median(change) - base_med) / base_med if base_med else 0.0
+    return {"slower": slower, "faster": faster, "pairs": len(base), "delta": delta,
+            "regressed": slower >= math.ceil(SLOWER_SHARE * len(base))}
+
+
+def workload_verdict(timing, mismatches, goldens_moved):
+    """The verdict line for one workload and whether it fails the gate."""
+    line = (f"{VERDICT_METRIC} higher in {timing['slower']}/{timing['pairs']} pairs, "
+            f"lower in {timing['faster']}/{timing['pairs']}, median {timing['delta']:+.1%}")
+    if mismatches and goldens_moved:
+        return f"{line}: not gated, the goldens changed and so did the simulated work", False
+    if mismatches:
+        return f"{line}: FAIL, the simulated work differs", True
+    if timing["regressed"]:
+        return f"{line}: REGRESSION", True
+    return f"{line}: pass", False
 
 
 def quartiles(values):
@@ -160,23 +212,31 @@ def main():
     print(f"base {sha[:12]} vs working tree: {args.pairs} pairs x {args.seconds} s, "
           f"seeds {args.first_seed}..{args.first_seed + args.pairs - 1}, trace {args.trace}")
 
-    report, problems = {}, []
+    goldens_moved = goldens_changed(sha)
+    report, failures, mismatches, verdicts = {}, [], {}, {}
     for workload in args.workloads.split(","):
-        pairs = []
+        pairs, mismatches[workload] = [], []
         for k in range(args.pairs):
             seed = args.first_seed + k
             order = ("base", "change") if k % 2 == 0 else ("change", "base")
             runs = {side: run_once(exes[side], workload, seed, args.seconds, args.trace)
                     for side in order}
-            problems += pair_problems(workload, seed, runs["base"], runs["change"])
+            failures += run_failures(workload, seed, runs["base"], runs["change"])
+            mismatches[workload] += sim_mismatches(workload, seed, runs["base"], runs["change"])
             pairs.append((runs["base"], runs["change"]))
             print(f"  {workload} pair {k + 1}/{args.pairs} (seed {seed}) done",
                   file=sys.stderr, flush=True)
         rows = summarize(pairs)
+        timing = timing_verdict(
+            [b[0]["metrics"][VERDICT_METRIC]["value"] for b, _ in pairs],
+            [c[0]["metrics"][VERDICT_METRIC]["value"] for _, c in pairs])
+        verdicts[workload] = workload_verdict(timing, mismatches[workload], goldens_moved)
         report[workload] = {
             "pairs": [{"seed": args.first_seed + k, "base": b[0], "change": c[0]}
                       for k, (b, c) in enumerate(pairs)],
             "summary": rows,
+            "verdict": dict(timing, line=verdicts[workload][0],
+                            fails=verdicts[workload][1]),
         }
         print(f"{workload}")
         print(f"  {'metric':28s} {'base med':>12s} {'base q1':>12s} {'base q3':>12s} "
@@ -188,13 +248,19 @@ def main():
                   f"{r['change_lower']:>3d}/{r['pairs']:<3d}{mark}")
         sys.stdout.flush()
 
+    mismatched = [m for w in mismatches.values() for m in w]
     if args.out:
         with open(args.out, "w") as f:
             json.dump({"base": sha, "seconds": args.seconds, "trace": args.trace,
-                       "workloads": report, "problems": problems}, f, indent=1)
-    for p in problems:
+                       "goldens_changed": goldens_moved, "workloads": report,
+                       "problems": failures + mismatched}, f, indent=1)
+    for p in failures:
+        print(f"FAILED {p}", file=sys.stderr)
+    for p in mismatched:
         print(f"MISMATCH {p}", file=sys.stderr)
-    return 1 if problems else 0
+    for workload, (line, _) in verdicts.items():
+        print(f"verdict {workload}: {line}")
+    return 1 if failures or any(fails for _, fails in verdicts.values()) else 0
 
 
 if __name__ == "__main__":

@@ -2,16 +2,16 @@
 //!
 //! Figures 5–11 are all views over the same trace × scheme evaluation matrix,
 //! and Figures 13/14 share one P/E sweep. To keep `cargo bench` from
-//! re-simulating the world for every figure, results are cached as JSON under
-//! `target/ipu-bench-cache/`, keyed by the experiment configuration; any
-//! config change (scale, thresholds, …) invalidates the cache automatically.
+//! re-simulating the world for every figure, whole results go through
+//! [`ReplayCache::get_or_compute`] rooted at `target/ipu-bench-cache/`, keyed
+//! by every input they depend on; any config change (scale, thresholds, …)
+//! is a different key. Delete the directory to force re-simulation.
 //!
 //! Environment knobs:
 //!
 //! * `IPU_BENCH_SCALE` — fraction of the published request counts (and,
 //!   proportionally, of the device) to run; default 0.25.
 //! * `IPU_BENCH_THREADS` — worker threads for the sweep (default: cores − 1).
-//! * `IPU_BENCH_REFRESH=1` — ignore and overwrite the cache.
 
 #![forbid(unsafe_code)]
 
@@ -20,9 +20,11 @@ use std::time::Instant;
 
 use ipu_core::trace::PaperTrace;
 use ipu_core::{
-    experiment, run_qd_sweep, ExperimentConfig, ExperimentRecord, MatrixResult, PeSweepResult,
-    QdSweepHostSpec, QdSweepResult,
+    experiment, run_qd_sweep, ExperimentConfig, MatrixResult, PeSweepResult, QdSweepHostSpec,
+    QdSweepResult, ReplayCache,
 };
+use serde::de::DeserializeOwned;
+use serde::Serialize;
 
 /// Default fraction of the paper-scale run used by benches.
 pub const DEFAULT_BENCH_SCALE: f64 = 0.25;
@@ -38,68 +40,50 @@ pub fn cache_dir() -> PathBuf {
     PathBuf::from(target).join("ipu-bench-cache")
 }
 
-fn refresh_requested() -> bool {
-    std::env::var("IPU_BENCH_REFRESH")
-        .map(|v| v == "1")
-        .unwrap_or(false)
+/// Returns the cached `kind` result for `key`, or runs `compute` (logging
+/// `what` and its duration) and caches it.
+fn cached<K: Serialize, T: Serialize + DeserializeOwned>(
+    kind: &str,
+    key: &K,
+    what: String,
+    compute: impl FnOnce() -> T,
+) -> T {
+    let cache = ReplayCache::new(cache_dir());
+    let value = cache.get_or_compute(kind, key, || {
+        eprintln!("[ipu-bench] running {what} ...");
+        let started = Instant::now();
+        let value = compute();
+        eprintln!("[ipu-bench] {kind} done in {:.1?}", started.elapsed());
+        value
+    });
+    if cache.stats().hits > 0 {
+        eprintln!(
+            "[ipu-bench] loaded cached {kind} from {}",
+            cache.dir().display()
+        );
+    }
+    value
 }
 
 /// Runs (or loads) the main evaluation matrix for `cfg`.
 pub fn main_matrix_cached(cfg: &ExperimentConfig) -> MatrixResult {
-    let path = cache_dir().join(format!(
-        "main_matrix_s{}_pe{}.json",
-        cfg.scale, cfg.device.initial_pe_cycles
-    ));
-    if !refresh_requested() {
-        if let Ok(rec) = ExperimentRecord::<MatrixResult>::load(&path) {
-            if &rec.config == cfg {
-                eprintln!("[ipu-bench] loaded cached matrix from {}", path.display());
-                return rec.result;
-            }
-        }
-    }
-    eprintln!(
-        "[ipu-bench] running {}×{} matrix at scale {} (set IPU_BENCH_SCALE to change)...",
+    let what = format!(
+        "{}×{} matrix at scale {} (set IPU_BENCH_SCALE to change)",
         cfg.traces.len(),
         cfg.schemes.len(),
         cfg.scale
     );
-    let started = Instant::now();
-    let result = experiment::run_main_matrix(cfg);
-    eprintln!("[ipu-bench] matrix done in {:.1?}", started.elapsed());
-    let rec = ExperimentRecord::new("main_matrix", cfg.clone(), result);
-    if let Err(e) = rec.save(&path) {
-        eprintln!("[ipu-bench] warning: could not cache results: {e}");
-    }
-    rec.result
+    cached("main_matrix", cfg, what, || {
+        experiment::run_main_matrix(cfg)
+    })
 }
 
 /// Runs (or loads) the §4.5 P/E sweep for `cfg`.
 pub fn pe_sweep_cached(cfg: &ExperimentConfig, points: &[u32]) -> PeSweepResult {
-    let path = cache_dir().join(format!("pe_sweep_s{}.json", cfg.scale));
-    if !refresh_requested() {
-        if let Ok(rec) = ExperimentRecord::<PeSweepResult>::load(&path) {
-            if &rec.config == cfg && rec.result.pe_points == points {
-                eprintln!(
-                    "[ipu-bench] loaded cached P/E sweep from {}",
-                    path.display()
-                );
-                return rec.result;
-            }
-        }
-    }
-    eprintln!(
-        "[ipu-bench] running P/E sweep over {points:?} at scale {} ...",
-        cfg.scale
-    );
-    let started = Instant::now();
-    let result = experiment::run_pe_sweep(cfg, points);
-    eprintln!("[ipu-bench] sweep done in {:.1?}", started.elapsed());
-    let rec = ExperimentRecord::new("pe_sweep", cfg.clone(), result);
-    if let Err(e) = rec.save(&path) {
-        eprintln!("[ipu-bench] warning: could not cache results: {e}");
-    }
-    rec.result
+    let what = format!("P/E sweep over {points:?} at scale {}", cfg.scale);
+    cached("pe_sweep", &(cfg, points.to_vec()), what, || {
+        experiment::run_pe_sweep(cfg, points)
+    })
 }
 
 /// Runs (or loads) the closed-loop host-interface QD sweep for `cfg`.
@@ -109,40 +93,17 @@ pub fn qd_sweep_cached(
     host: &QdSweepHostSpec,
     qd_points: &[usize],
 ) -> QdSweepResult {
-    let path = cache_dir().join(format!(
-        "qd_sweep_{}_s{}_{}t_{}.json",
-        trace.name(),
-        cfg.scale,
-        host.tenants.len(),
-        host.arbitration.label()
-    ));
-    if !refresh_requested() {
-        if let Ok(rec) = ExperimentRecord::<QdSweepResult>::load(&path) {
-            let same_points = rec
-                .result
-                .qd_points
-                .iter()
-                .map(|&q| q as usize)
-                .eq(qd_points.iter().copied());
-            if &rec.config == cfg && &rec.result.host == host && same_points {
-                eprintln!("[ipu-bench] loaded cached QD sweep from {}", path.display());
-                return rec.result;
-            }
-        }
-    }
-    eprintln!(
-        "[ipu-bench] running QD sweep over {qd_points:?} on {} at scale {} ...",
+    let what = format!(
+        "QD sweep over {qd_points:?} on {} at scale {}",
         trace.name(),
         cfg.scale
     );
-    let started = Instant::now();
-    let result = run_qd_sweep(cfg, trace, host, qd_points);
-    eprintln!("[ipu-bench] QD sweep done in {:.1?}", started.elapsed());
-    let rec = ExperimentRecord::new("qd_sweep", cfg.clone(), result);
-    if let Err(e) = rec.save(&path) {
-        eprintln!("[ipu-bench] warning: could not cache results: {e}");
-    }
-    rec.result
+    cached(
+        "qd_sweep",
+        &(cfg, trace, host, qd_points.to_vec()),
+        what,
+        || run_qd_sweep(cfg, trace, host, qd_points),
+    )
 }
 
 #[cfg(test)]

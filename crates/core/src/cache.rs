@@ -1,11 +1,14 @@
-//! Content-addressed on-disk replay cache.
+//! Content-addressed on-disk result cache.
 //!
 //! A replay is a pure function of `(ReplayConfig, trace spec)`: the calibrated
 //! generator is deterministic per spec and the engine has no other inputs. The
 //! cache exploits that — each completed [`SimReport`] is stored under a stable
 //! hash of the full input description, so re-running a figure after an
 //! unrelated edit (or tweaking one cell of a sweep) skips every replay whose
-//! inputs did not change.
+//! inputs did not change. Any other deterministic computation (a fleet run, a
+//! whole evaluation matrix) is cached the same way through
+//! [`ReplayCache::get_or_compute`]; a replay is just the `"replay"` kind, so
+//! every entry on disk has one format.
 //!
 //! Safety properties:
 //!
@@ -39,30 +42,15 @@ use serde::{Deserialize, Serialize};
 ///
 /// v2: replay runs on the discrete-event core and `ReplayConfig` carries the
 /// event-core timing model, so pre-event-core entries are stale.
-pub const CACHE_SCHEMA_VERSION: u32 = 2;
+///
+/// v3: replays are stored as generic entries of kind `"replay"`, so the cache
+/// has one entry format.
+pub const CACHE_SCHEMA_VERSION: u32 = 3;
 
-/// Everything a replay's outcome depends on, in canonical (serde_json) form.
-/// Owned because the vendored `serde_derive` does not support lifetime
-/// parameters; keys are built rarely (once per matrix cell).
-#[derive(Serialize)]
-struct CacheKey {
-    schema: u32,
-    replay: ReplayConfig,
-    trace: SyntheticTraceSpec,
-}
-
-/// One on-disk entry: the key it was stored under (verbatim, for collision
-/// detection) and the cached report.
-#[derive(Serialize, Deserialize)]
-struct CacheEntry {
-    key: String,
-    report: SimReport,
-}
-
-/// Key of a generic (non-replay) cached computation: `kind` namespaces
-/// result families (e.g. `"fleet"`), `key` is the caller's input description
-/// as canonical JSON. The vendored `serde_json` has no dynamic `Value`, so
-/// the nested JSON travels as a string — byte-stable either way.
+/// Key of a cached computation: `kind` namespaces result families (e.g.
+/// `"replay"`, `"fleet"`), `key` is the caller's input description as
+/// canonical JSON. The vendored `serde_json` has no dynamic `Value`, so the
+/// nested JSON travels as a string — byte-stable either way.
 #[derive(Serialize)]
 struct GenericKey {
     schema: u32,
@@ -70,8 +58,9 @@ struct GenericKey {
     key: String,
 }
 
-/// On-disk entry of a generic computation; the value is the result's JSON,
-/// nested as a string for the same reason as [`GenericKey::key`].
+/// One on-disk entry: the key it was stored under (verbatim, for collision
+/// detection) and the result's JSON, nested as a string for the same reason
+/// as [`GenericKey::key`].
 #[derive(Serialize, Deserialize)]
 struct GenericEntry {
     key: String,
@@ -81,9 +70,9 @@ struct GenericEntry {
 /// Hit/miss counters of one cache over its lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
-    /// Replays served from disk.
+    /// Results served from disk.
     pub hits: u64,
-    /// Replays simulated (entry absent).
+    /// Results computed (entry absent).
     pub misses: u64,
     /// Entries found but rejected (corrupt, stale schema, or key mismatch) —
     /// counted in `misses` too.
@@ -154,15 +143,7 @@ impl ReplayCache {
         requests: &[IoRequest],
         trace_name: &str,
     ) -> SimReport {
-        let key = Self::key_json(cfg, spec);
-        if let Some(report) = self.load(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return report;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let report = replay(cfg, requests, trace_name);
-        self.store(&key, &report);
-        report
+        self.get_or_compute("replay", &(cfg, spec), || replay(cfg, requests, trace_name))
     }
 
     /// Returns the cached value of an arbitrary deterministic computation,
@@ -172,8 +153,8 @@ impl ReplayCache {
     /// `key` must describe *every* input the computation depends on — the
     /// cache trusts the caller on completeness exactly as
     /// [`get_or_replay`](Self::get_or_replay) trusts the `spec`/`requests`
-    /// pairing. All the replay-path safety properties apply: verbatim key
-    /// comparison, corruption → miss + heal, schema versioning.
+    /// pairing. Keys are compared verbatim, a corrupt entry is a miss that
+    /// the fresh result heals, and the schema version expires old entries.
     pub fn get_or_compute<K, T, F>(&self, kind: &str, key: &K, compute: F) -> T
     where
         K: Serialize,
@@ -223,7 +204,8 @@ impl ReplayCache {
         }
     }
 
-    /// Best-effort store of a generic entry (same contract as `store`).
+    /// Best-effort store: cache-write failures (read-only dir, disk full)
+    /// must never fail the experiment that produced the result.
     fn store_generic<T: Serialize>(&self, key_json: &str, value: &T) {
         let Ok(value_json) = serde_json::to_string(value) else {
             return;
@@ -239,20 +221,12 @@ impl ReplayCache {
             return;
         }
         let path = self.entry_path(key_json);
+        // Unique temp name per writer so concurrent processes never interleave
+        // writes; rename makes the entry appear atomically.
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
         if fs::write(&tmp, json).is_ok() && fs::rename(&tmp, &path).is_err() {
             let _ = fs::remove_file(&tmp);
         }
-    }
-
-    /// Canonical key JSON for `(cfg, spec)` under the current schema.
-    fn key_json(cfg: &ReplayConfig, spec: &SyntheticTraceSpec) -> String {
-        serde_json::to_string(&CacheKey {
-            schema: CACHE_SCHEMA_VERSION,
-            replay: cfg.clone(),
-            trace: spec.clone(),
-        })
-        .expect("replay cache key serialization cannot fail")
     }
 
     fn entry_path(&self, key: &str) -> PathBuf {
@@ -264,45 +238,6 @@ impl ReplayCache {
             fnv1a(key.as_bytes(), 0x6c62_272e_07bb_0142)
         );
         self.dir.join(name)
-    }
-
-    /// Loads the entry for `key`, rejecting anything that does not verifiably
-    /// carry that exact key.
-    fn load(&self, key: &str) -> Option<SimReport> {
-        let text = fs::read_to_string(self.entry_path(key)).ok()?;
-        let reject = |_| {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            None::<CacheEntry>
-        };
-        let entry = serde_json::from_str::<CacheEntry>(&text).map_or_else(reject, Some)?;
-        if entry.key != key {
-            // Hash collision or hand-edited entry: not ours.
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        Some(entry.report)
-    }
-
-    /// Best-effort store: cache-write failures (read-only dir, disk full)
-    /// must never fail the experiment that produced the report.
-    fn store(&self, key: &str, report: &SimReport) {
-        let entry = CacheEntry {
-            key: key.to_string(),
-            report: report.clone(),
-        };
-        let Ok(json) = serde_json::to_string(&entry) else {
-            return;
-        };
-        if fs::create_dir_all(&self.dir).is_err() {
-            return;
-        }
-        let path = self.entry_path(key);
-        // Unique temp name per writer so concurrent processes never interleave
-        // writes; rename makes the entry appear atomically.
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        if fs::write(&tmp, json).is_ok() && fs::rename(&tmp, &path).is_err() {
-            let _ = fs::remove_file(&tmp);
-        }
     }
 }
 
@@ -338,6 +273,11 @@ mod tests {
 
     fn to_json(r: &SimReport) -> String {
         serde_json::to_string(r).unwrap()
+    }
+
+    /// The key [`ReplayCache::get_or_replay`] stores `(cfg, spec)` under.
+    fn replay_key_json(cfg: &ReplayConfig, spec: &SyntheticTraceSpec) -> String {
+        ReplayCache::generic_key_json("replay", &(cfg, spec))
     }
 
     #[test]
@@ -385,7 +325,7 @@ mod tests {
         let (cfg, spec, requests) = small_inputs();
 
         let first = cache.get_or_replay(&cfg, &spec, &requests, "ts0");
-        let path = cache.entry_path(&ReplayCache::key_json(&cfg, &spec));
+        let path = cache.entry_path(&replay_key_json(&cfg, &spec));
         assert!(path.exists(), "entry must land at its content address");
 
         // Truncated JSON → rejected, re-simulated, entry healed.
@@ -402,7 +342,7 @@ mod tests {
 
         // A valid entry stored under the wrong key (hash collision stand-in)
         // is rejected by the key comparison.
-        let mut entry: CacheEntry =
+        let mut entry: GenericEntry =
             serde_json::from_str(&fs::read_to_string(&path).unwrap()).unwrap();
         entry.key = "someone else's key".to_string();
         fs::write(&path, serde_json::to_string(&entry).unwrap()).unwrap();
@@ -432,7 +372,7 @@ mod tests {
     #[test]
     fn schema_version_is_part_of_the_key() {
         let (cfg, spec, _) = small_inputs();
-        let key = ReplayCache::key_json(&cfg, &spec);
+        let key = replay_key_json(&cfg, &spec);
         assert!(key.contains(&format!("\"schema\":{CACHE_SCHEMA_VERSION}")));
     }
 

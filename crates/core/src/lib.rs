@@ -42,7 +42,7 @@ pub use experiment::{
     scaled_spec, MatrixResult, PeSweepResult, PAPER_PE_POINTS,
 };
 pub use parallel::{default_threads, parallel_map};
-pub use profile::{run_profile, BenchProfile, PhaseWall, RunProfile, BENCH_SCHEMA_VERSION};
+pub use profile::{run_profile, BenchProfile, PhaseWall, RunProfile};
 pub use qd_sweep::{
     run_qd_sweep, run_qd_sweep_with, QdSweepHostSpec, QdSweepResult, PAPER_QD_POINTS,
 };

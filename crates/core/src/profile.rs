@@ -1,13 +1,12 @@
-//! Deterministic wall-clock benchmark harness: the repo's perf baseline.
+//! Wall-clock phase report: where real time goes in a replay.
 //!
-//! [`run_profile`] replays a fixed trace × scheme workload with the `ipu-obs`
-//! instrumentation armed and measures where real (wall-clock) time goes:
-//! per-phase exclusive seconds, per-run throughput in simulated operations
-//! per wall second, and a monotonic counter fingerprint of the simulated
-//! work. The result serializes as `BENCH_profile.json`, which CI's
-//! `perf-gate` job diffs against `ci/bench_baseline.json` — the counter
-//! fingerprint proves baseline and candidate simulated the *same* workload
-//! before their throughputs are compared.
+//! [`run_profile`] replays a trace × scheme workload with the `ipu-obs`
+//! instrumentation armed and measures per-phase exclusive seconds, per-run
+//! throughput in simulated operations per wall second, and a monotonic
+//! counter fingerprint of the simulated work (identical workloads give
+//! identical fingerprints). `ipu-sim profile` prints it and writes it as
+//! JSON. It is a diagnostic, not a gate: speed regressions are judged by
+//! paired runs against the parent commit (`ci/perf_pairs.py`).
 //!
 //! Runs are sequential (never `parallel_map`) so per-run wall times are not
 //! polluted by sibling runs sharing cores.
@@ -21,17 +20,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::ExperimentConfig;
 use crate::trace_set::TraceSet;
-
-/// Schema version of [`BenchProfile`]; bump on breaking shape changes so the
-/// perf gate refuses to compare incompatible baselines.
-///
-/// v2: per-(trace, scheme) run cells are gated individually (not just the
-/// aggregate), the default scheme set includes IPU+, and the profile records
-/// whether it was built in release mode so the gate can refuse debug runs.
-///
-/// v3: every run cell records simulated tail latency (`p99_ns`, `p999_ns`)
-/// from the event-core replay; the gate refuses candidates missing them.
-pub const BENCH_SCHEMA_VERSION: u32 = 3;
 
 /// Exclusive wall time spent in one instrumented phase over the whole
 /// profile run.
@@ -56,11 +44,9 @@ pub struct RunProfile {
     pub wall_seconds: f64,
     /// Simulated host requests replayed per wall second.
     pub ops_per_sec: f64,
-    /// Simulated overall p99 latency of the run, ns (schema v3).
-    #[serde(default)]
+    /// Simulated overall p99 latency of the run, ns.
     pub p99_ns: u64,
-    /// Simulated overall p99.9 latency of the run, ns (schema v3).
-    #[serde(default)]
+    /// Simulated overall p99.9 latency of the run, ns.
     pub p999_ns: u64,
 }
 
@@ -68,7 +54,6 @@ pub struct RunProfile {
 /// breakdown and the simulated-work counter fingerprint.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchProfile {
-    pub schema_version: u32,
     pub traces: Vec<String>,
     pub schemes: Vec<SchemeKind>,
     pub scale: f64,
@@ -78,15 +63,11 @@ pub struct BenchProfile {
     pub wall_seconds: f64,
     /// Aggregate throughput: `requests / wall_seconds`.
     pub sim_ops_per_sec: f64,
-    /// Whether the binary was compiled with optimizations; the perf gate
-    /// refuses debug-build profiles, whose numbers are meaningless.
-    #[serde(default)]
-    pub release: bool,
     pub phases: Vec<PhaseWall>,
     pub runs: Vec<RunProfile>,
     /// Monotonic counters summed over all runs: identical workloads produce
-    /// identical fingerprints, so a baseline mismatch here means the perf
-    /// numbers are not comparable (refresh the baseline instead).
+    /// identical fingerprints, so two profiles whose fingerprints differ did
+    /// not simulate the same work and their wall times are not comparable.
     pub counters: CounterSnapshot,
 }
 
@@ -192,14 +173,12 @@ pub fn run_profile(cfg: &ExperimentConfig) -> BenchProfile {
     let snapshot = ipu_obs::snapshot();
 
     BenchProfile {
-        schema_version: BENCH_SCHEMA_VERSION,
         traces: cfg.traces.iter().map(|t| t.name().to_string()).collect(),
         schemes: cfg.schemes.clone(),
         scale: cfg.scale,
         requests: total_requests,
         wall_seconds,
         sim_ops_per_sec: total_requests as f64 / wall_seconds.max(1e-9),
-        release: !cfg!(debug_assertions),
         phases: phase_breakdown(&snapshot, wall_seconds),
         runs,
         counters,

@@ -4,7 +4,7 @@
 //! byte-identical output. This pins the BTreeMap conversions in
 //! `trace::stats`, `ftl::cache_meta` and `ftl::schemes::common` — a stray
 //! HashMap iteration anywhere on the render path breaks this test (flakily),
-//! and breaks the replay cache and perf-gate fingerprints the same way.
+//! and breaks the replay cache and the counter fingerprints the same way.
 
 use ipu_core::ftl::SchemeKind;
 use ipu_core::trace::PaperTrace;

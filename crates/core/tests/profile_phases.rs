@@ -8,7 +8,7 @@
 
 use ipu_core::ftl::SchemeKind;
 use ipu_core::trace::PaperTrace;
-use ipu_core::{run_profile, ExperimentConfig, BENCH_SCHEMA_VERSION};
+use ipu_core::{run_profile, ExperimentConfig};
 
 fn tiny_cfg() -> ExperimentConfig {
     let mut cfg = ExperimentConfig::scaled(0.002);
@@ -21,7 +21,6 @@ fn tiny_cfg() -> ExperimentConfig {
 #[test]
 fn profile_measures_phases_and_throughput() {
     let p = run_profile(&tiny_cfg());
-    assert_eq!(p.schema_version, BENCH_SCHEMA_VERSION);
     assert_eq!(p.runs.len(), 1);
     assert!(p.requests > 1000, "ts0 at 0.2% is thousands of requests");
     assert!(p.wall_seconds > 0.0);
