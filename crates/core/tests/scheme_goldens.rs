@@ -6,9 +6,13 @@
 //! selection (`ipu_use_isr_gc = false`), a collapsed level hierarchy
 //! (`ipu_max_level = 1`), a tight packing buffer (`mga_open_page_limit = 2`),
 //! the `heavy` fault profile with its retry ladder (block retirement,
-//! program retries, read recovery), and the event core's two non-default
+//! program retries, read recovery), the event core's two non-default
 //! timing paths: run-to-completion GC (`rtc`) and read suspension at 50 µs
-//! boundaries (`suspend`). Each golden line is
+//! boundaries (`suspend`), and the two background reclaim paths the default
+//! run leaves idle: static wear-leveling checked every 8 erases at a 1-cycle
+//! gap (`wear`), and MLC GC on a device with 2 blocks per plane, half of
+//! them SLC (`mlc-pressure`, which also runs out of space and fails writes).
+//! Each golden line is
 //! `{"cell":"<config>/<scheme>","report":<compact SimReport>}`.
 //!
 //! On a mismatch the test names the cell and the first differing field, and
@@ -45,6 +49,14 @@ fn configs() -> Vec<(&'static str, ExperimentConfig)> {
     rtc.timing.gc_mode = GcMode::RunToCompletion;
     let mut suspend = default.clone();
     suspend.timing.suspend_granularity_ns = 50_000;
+    let mut wear = default.clone();
+    wear.ftl.wear_leveling.check_interval_erases = 8;
+    wear.ftl.wear_leveling.wear_gap_threshold = 1;
+    let mut mlc_pressure = default.clone();
+    mlc_pressure.device.geometry.blocks_per_plane = 2;
+    mlc_pressure.device.geometry.pages_per_block_mlc = 48;
+    mlc_pressure.device.geometry.pages_per_block_slc = 32;
+    mlc_pressure.ftl.slc_ratio = 0.5;
     vec![
         ("default", default),
         ("isr-off", isr_off),
@@ -53,6 +65,8 @@ fn configs() -> Vec<(&'static str, ExperimentConfig)> {
         ("heavy", heavy),
         ("rtc", rtc),
         ("suspend", suspend),
+        ("wear", wear),
+        ("mlc-pressure", mlc_pressure),
     ]
 }
 

@@ -1894,4 +1894,65 @@ mod tests {
         assert_eq!(core.blocks.slc_pending_count(), 0);
         assert_eq!(batch.count(FlashOpKind::Erase), 1);
     }
+
+    #[test]
+    fn emergency_reclaim_erases_a_fully_invalid_block() {
+        let (mut core, mut dev) = core_and_dev();
+        let mut batch = OpBatch::new();
+        // Fill one SLC block, then supersede every LSN it holds in MLC.
+        let mut victim = None;
+        for p in 0..4u64 {
+            let (ppa, _) = core
+                .take_page(&mut dev, BlockLevel::Work, &mut batch)
+                .unwrap();
+            victim = Some(ppa.block_addr());
+            let lsns = [4 * p, 4 * p + 1, 4 * p + 2, 4 * p + 3];
+            core.program_group(
+                &mut dev,
+                ppa,
+                0,
+                &lsns,
+                FlashOpKind::HostProgram,
+                1,
+                &mut batch,
+            )
+            .unwrap();
+        }
+        let victim = victim.unwrap();
+        for p in 0..4u64 {
+            let (ppa, _) = core
+                .take_page(&mut dev, BlockLevel::HighDensity, &mut batch)
+                .unwrap();
+            let lsns = [4 * p, 4 * p + 1, 4 * p + 2, 4 * p + 3];
+            core.program_group(
+                &mut dev,
+                ppa,
+                0,
+                &lsns,
+                FlashOpKind::HostProgram,
+                2,
+                &mut batch,
+            )
+            .unwrap();
+        }
+        assert_eq!(
+            dev.block(victim).count_subpages(SubpageState::Valid),
+            0,
+            "every LSN of the victim must be superseded"
+        );
+        // Hand out every remaining page without reclaiming anything.
+        while core.try_take_chain(BlockLevel::Work).is_some() {}
+        let erases = batch.count(FlashOpKind::Erase);
+        let gc_runs = core.stats.gc_runs_slc;
+
+        // The next page can only come from reclaiming the invalid block.
+        let (ppa, level) = core
+            .take_page(&mut dev, BlockLevel::Work, &mut batch)
+            .unwrap();
+        assert_eq!(ppa.block_addr(), victim);
+        assert_eq!(level, BlockLevel::Work);
+        assert_eq!(batch.count(FlashOpKind::Erase), erases + 1);
+        assert_eq!(core.stats.gc_runs_slc, gc_runs + 1);
+        assert_eq!(core.check_invariants(&dev), Ok(()));
+    }
 }
