@@ -28,10 +28,11 @@ Exits 1 if any workload regresses, if any run fails its checks (`correct`
 false or failed operations), or if, within a pair, any `sim_*` metric or
 the per-scheme counter fingerprint the benchmark prints on standard error
 differs: both builds must simulate exactly the same thing. The one
-exception is a change that rewrites the scheme goldens
-(`crates/core/tests/goldens/scheme_reports.jsonl`) relative to REV: it
-moves simulated outputs on purpose, so a workload whose simulated work
-differs is reported, with its timing verdict, but does not fail the run.
+exception is a change that deletes or rewrites a line of the scheme
+goldens (`crates/core/tests/goldens/scheme_reports.jsonl`) relative to
+REV: it moves simulated outputs on purpose, so a workload whose simulated
+work differs is reported, with its timing verdict, but does not fail the
+run. Appending golden lines moves no existing output and excuses nothing.
 
 Only the Python standard library is used. Run it from the repository root.
 The work directory (default `target/perf_pairs`) keeps the exported tree
@@ -54,7 +55,8 @@ WORKLOADS = "write-gc,read-mostly,closed-qd64,fleet-ladder"
 # least this share of the pairs (9 of 10).
 VERDICT_METRIC = "wall_s"
 SLOWER_SHARE = 0.9
-# A change to this file moves simulated outputs on purpose.
+# A change that deletes or rewrites a line of this file moves simulated
+# outputs on purpose.
 GOLDENS = "crates/core/tests/goldens/scheme_reports.jsonl"
 # A run stays well inside perfbench/run.py's limit; this only stops a hung
 # process.
@@ -104,8 +106,11 @@ def run_once(exe, workload, seed, seconds, trace):
 
 
 def goldens_changed(rev):
-    """Whether the working tree's scheme goldens differ from `rev`'s."""
-    return subprocess.run(["git", "diff", "--quiet", rev, "--", GOLDENS]).returncode != 0
+    """Whether the working tree deletes or rewrites a line of `rev`'s scheme
+    goldens. Lines only appended leave every existing cell's output as it
+    was, so they do not count."""
+    numstat = git("diff", "--numstat", rev, "--", GOLDENS)
+    return any(line.split("\t")[1] != "0" for line in numstat.splitlines())
 
 
 def run_failures(workload, seed, base, change):

@@ -96,7 +96,7 @@ class SimulatedWork(unittest.TestCase):
 
 
 class GoldensChanged(unittest.TestCase):
-    def test_only_a_diff_to_the_goldens_file_counts(self):
+    def test_only_a_deleted_or_rewritten_golden_line_counts(self):
         cwd = os.getcwd()
         with tempfile.TemporaryDirectory() as repo:
             os.chdir(repo)
@@ -114,8 +114,15 @@ class GoldensChanged(unittest.TestCase):
                 with open("other.txt", "w") as f:
                     f.write("b\n")
                 self.assertFalse(perf_pairs.goldens_changed("HEAD"))
+                # Appended cells leave every existing cell in place.
+                with open(perf_pairs.GOLDENS, "a") as f:
+                    f.write("new\n")
+                self.assertFalse(perf_pairs.goldens_changed("HEAD"))
                 with open(perf_pairs.GOLDENS, "w") as f:
-                    f.write("b\n")
+                    f.write("b\nnew\n")
+                self.assertTrue(perf_pairs.goldens_changed("HEAD"))
+                with open(perf_pairs.GOLDENS, "w") as f:
+                    f.write("")
                 self.assertTrue(perf_pairs.goldens_changed("HEAD"))
             finally:
                 os.chdir(cwd)

@@ -71,6 +71,9 @@ pub fn parse_msr_line(line: &str, line_no: usize) -> Result<IoRequest, ParseErro
     if size == 0 || size > u32::MAX as u64 {
         return Err(err(format!("size {size} out of range")));
     }
+    if offset.checked_add(size).is_none() {
+        return Err(err(format!("offset {offset} + size {size} overflows u64")));
+    }
 
     Ok(IoRequest::new(
         ts.saturating_mul(FILETIME_TICK_NS),
@@ -155,6 +158,13 @@ Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime
         assert!(parse_msr_line("1,h,0,Erase,0,4096,1", 1).is_err());
         assert!(parse_msr_line("1,h,0,Read,0,0,1", 1).is_err());
         assert!(parse_msr_line("x,h,0,Read,0,4096,1", 1).is_err());
+        // A byte range running past u64::MAX is rejected; one ending
+        // exactly at u64::MAX is not.
+        let past = parse_msr_line("1,h,0,Write,18446744073709551615,4096,1", 3).unwrap_err();
+        assert_eq!(past.line, 3);
+        assert!(past.message.contains("overflows"), "{}", past.message);
+        let last = parse_msr_line("1,h,0,Write,18446744073709547520,4095,1", 1).unwrap();
+        assert_eq!(last.subpage_count(), 1);
         let err = parse_msr_line("1,h,0", 7).unwrap_err();
         assert_eq!(err.line, 7);
         assert!(err.message.contains("Type"));
