@@ -4,49 +4,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::wear_leveling::WearLevelingConfig;
 
-/// Background scrub/refresh policy: SLC pages whose accumulated disturb
-/// pushes the expected raw bit errors of any valid subpage past a fraction
-/// of the ECC correction capability are rewritten to fresh pages before they
-/// become uncorrectable. Disabled by default (the paper's evaluation has no
-/// scrubber); the fault-injection experiments enable it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScrubConfig {
-    /// Whether the scrub pass runs at all.
-    pub enabled: bool,
-    /// Rewrite threshold as a fraction of ECC correction capability: a page
-    /// is refreshed when any valid subpage's expected raw bit errors exceed
-    /// `rber_watermark × correctable_bits`.
-    pub rber_watermark: f64,
-    /// Maximum pages rewritten per scrub pass (bounds foreground stalls).
-    pub max_pages_per_pass: u32,
-}
-
-impl Default for ScrubConfig {
-    fn default() -> Self {
-        ScrubConfig {
-            enabled: false,
-            rber_watermark: 0.5,
-            max_pages_per_pass: 4,
-        }
-    }
-}
-
-impl ScrubConfig {
-    /// Validates parameter ranges.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(0.0 < self.rber_watermark && self.rber_watermark <= 1.0) {
-            return Err(format!(
-                "scrub rber_watermark {} out of (0,1]",
-                self.rber_watermark
-            ));
-        }
-        if self.max_pages_per_pass == 0 {
-            return Err("scrub max_pages_per_pass must be positive".into());
-        }
-        Ok(())
-    }
-}
-
 /// FTL-level policy parameters (paper Table 2 plus scheme knobs).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FtlConfig {
@@ -55,10 +12,6 @@ pub struct FtlConfig {
     /// GC triggers when the free fraction of a region's blocks drops below
     /// this (Table 2: 5%).
     pub gc_threshold: f64,
-    /// Maximum GC victims processed per write chunk. The paper's Algorithm 1
-    /// runs a single select/move/erase cycle per request; values above 1 make
-    /// GC more aggressive at the cost of foreground interference.
-    pub gc_rounds_per_write: u32,
     /// Maximum open (partially-filled, partially-programmable) pages the
     /// packing schemes (MGA and IPU+) keep as packing candidates — models the
     /// controller's write-buffer bound.
@@ -67,9 +20,6 @@ pub struct FtlConfig {
     /// them. Models SSDsim's dynamic allocation striping writes over
     /// channels; bounded by the number of planes at runtime.
     pub write_parallelism: usize,
-    /// Latency charged for a read of a logical address the trace never wrote
-    /// (pre-trace-resident data, served from the MLC region).
-    pub serve_unmapped_reads_from_mlc: bool,
     /// IPU ablation: use the paper's ISR GC policy (Equations 1–2). When
     /// false, IPU and IPU+ fall back to greedy subpage-granular victim
     /// selection; Baseline and MGA are always greedy.
@@ -80,9 +30,6 @@ pub struct FtlConfig {
     pub ipu_max_level: u8,
     /// Static wear-leveling policy (Table 2: "Wear-leveling: static").
     pub wear_leveling: WearLevelingConfig,
-    /// Background scrub/refresh of disturb-degraded SLC pages.
-    #[serde(default)]
-    pub scrub: ScrubConfig,
 }
 
 impl Default for FtlConfig {
@@ -90,14 +37,11 @@ impl Default for FtlConfig {
         FtlConfig {
             slc_ratio: 0.05,
             gc_threshold: 0.05,
-            gc_rounds_per_write: 1,
             mga_open_page_limit: 64,
             write_parallelism: 16,
-            serve_unmapped_reads_from_mlc: true,
             ipu_use_isr_gc: true,
             ipu_max_level: 3,
             wear_leveling: WearLevelingConfig::default(),
-            scrub: ScrubConfig::default(),
         }
     }
 }
@@ -131,15 +75,10 @@ impl FtlConfig {
         if self.write_parallelism == 0 {
             return Err("write_parallelism must be positive".into());
         }
-        if self.gc_rounds_per_write == 0 {
-            return Err("gc_rounds_per_write must be positive".into());
-        }
         if !(1..=3).contains(&self.ipu_max_level) {
             return Err(format!("ipu_max_level {} out of 1..=3", self.ipu_max_level));
         }
-        self.wear_leveling.validate()?;
-        self.scrub.validate()?;
-        Ok(())
+        self.wear_leveling.validate()
     }
 }
 
@@ -186,19 +125,6 @@ mod tests {
         let mut c = FtlConfig::default();
         c.mga_open_page_limit = 0;
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn scrub_defaults_are_off_and_valid() {
-        let s = ScrubConfig::default();
-        assert!(!s.enabled);
-        s.validate().unwrap();
-        let mut s = ScrubConfig::default();
-        s.rber_watermark = 0.0;
-        assert!(s.validate().is_err());
-        let mut s = ScrubConfig::default();
-        s.max_pages_per_pass = 0;
-        assert!(s.validate().is_err());
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod wear_leveling;
 
 pub use block_mgr::BlockManager;
 pub use cache_meta::{BlockMeta, CacheMeta};
-pub use config::{FtlConfig, ScrubConfig};
+pub use config::FtlConfig;
 pub use error::FtlError;
 pub use gc::{
     cold_valid_weight_fast, greedy_score, isr_jensen_bound, isr_score, isr_score_fast,

@@ -38,13 +38,11 @@ impl FlashOpKind {
 
 /// Why a background round of operations was started. The event core times
 /// every origin alike; the origin is kept so that a request's wait can be
-/// attributed to GC, scrub or wear-leveling.
+/// attributed to GC or wear-leveling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum RoundOrigin {
     /// Garbage collection (SLC or MLC victim reclaim, emergency reclaim).
     Gc,
-    /// Background scrub/refresh rewrites.
-    Scrub,
     /// Static wear-leveling migration.
     WearLevel,
 }
@@ -228,7 +226,7 @@ mod tests {
         b.push(0, FlashOpKind::GcRead, 50);
         b.push(1, FlashOpKind::GcProgram, 60);
         b.push(0, FlashOpKind::HostProgram, 100); // host never tagged
-        b.begin_background_round(RoundOrigin::Scrub);
+        b.begin_background_round(RoundOrigin::WearLevel);
         b.push(0, FlashOpKind::GcProgram, 70);
         b.push(0, FlashOpKind::Erase, 1000);
         assert_eq!(
@@ -238,7 +236,7 @@ mod tests {
         assert_eq!(b.rounds_used(), 2);
         assert_eq!(b.round_origin(0), None);
         assert_eq!(b.round_origin(1), Some(RoundOrigin::Gc));
-        assert_eq!(b.round_origin(2), Some(RoundOrigin::Scrub));
+        assert_eq!(b.round_origin(2), Some(RoundOrigin::WearLevel));
         assert_eq!(b.round_origin(3), None);
         b.clear();
         assert_eq!(b.rounds_used(), 0);

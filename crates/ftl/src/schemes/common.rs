@@ -1,8 +1,8 @@
 //! Shared FTL machinery: active blocks, chunking, programming, the host read
-//! path, victim selection, GC execution primitives, MLC GC, wear-leveling,
-//! scrub and power-loss rebuild. The scheme driver (`SchemeFtl`) decides only
-//! where writes land, which victim policy GC uses and where GC moves data;
-//! everything else lives here.
+//! path, victim selection, the move-and-erase cycle every reclaim runs, MLC
+//! GC, wear-leveling and power-loss rebuild. The scheme driver (`SchemeFtl`)
+//! decides only where writes land, which victim policy GC uses and where GC
+//! moves data; everything else lives here.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -29,9 +29,6 @@ use crate::wear_leveling::WearLeveler;
 /// Maximum placements tried for one program group before the write fails
 /// (each failed attempt retires its block and retries on a fresh page).
 const MAX_PROGRAM_ATTEMPTS: u32 = 4;
-
-/// SLC blocks examined per scrub pass (bounds the per-request scan cost).
-const SCRUB_BLOCKS_PER_PASS: usize = 8;
 
 /// An open block accepting sequential page allocations.
 #[derive(Debug, Clone, Copy)]
@@ -62,7 +59,7 @@ pub struct PageGroup {
     pub updated: bool,
     subs_len: u8,
     /// Inline so a GC round recycles one flat group buffer with no per-page
-    /// heap traffic (see [`FtlCore::collect_victim_groups_into`]).
+    /// heap traffic (see `FtlCore::reclaim_block`).
     subs: [(u8, Lsn); MAX_SUBPAGES_PER_PAGE],
 }
 
@@ -149,14 +146,12 @@ pub struct FtlCore {
     bad_blocks: BTreeSet<u64>,
     /// Durable OOB shadow per in-use block (see [`BlockOob`]).
     oob: BTreeMap<u64, BlockOob>,
-    /// Round-robin position of the background scrub scan.
-    scrub_cursor: u64,
     /// Reusable read-run merge buffer: `host_read` takes it, fills it, and
     /// puts it back, so steady-state reads allocate nothing.
     read_runs: Vec<(Spa, u8)>,
-    /// Reusable GC page-group buffer, shared by the driver's SLC GC loop and
-    /// the core's MLC GC / wear-leveling paths via take/put-back.
-    pub(crate) gc_groups: Vec<PageGroup>,
+    /// Reusable page-group buffer that [`Self::reclaim_block`] takes and
+    /// puts back, so GC and wear-leveling rounds allocate nothing.
+    gc_groups: Vec<PageGroup>,
     /// Reusable (upper bound, opened_seq, idx) candidate list for ISR victim
     /// selection, so steady-state GC allocates nothing.
     isr_scratch: Vec<(f64, u64, u64)>,
@@ -194,7 +189,6 @@ impl FtlCore {
             retry: dev.config().retry.clone(),
             bad_blocks: BTreeSet::new(),
             oob: BTreeMap::new(),
-            scrub_cursor: 0,
             read_runs: Vec::new(),
             gc_groups: Vec::new(),
             isr_scratch: Vec::new(),
@@ -506,40 +500,9 @@ impl FtlCore {
             .collect();
         let mut reclaimed = 0;
         for v in victims {
-            let Some(meta) = self.meta.close_block(v) else {
-                continue; // victims come from the registry; a vanished entry just skips
-            };
-            self.victim_index.remove(v);
-            if meta.level.is_slc() {
-                self.stats.gc_runs_slc += 1;
-            } else {
-                self.stats.gc_runs_mlc += 1;
-            }
-            let mode = if self.blocks.is_slc_region(meta.addr) {
-                CellMode::Slc
-            } else {
-                CellMode::Mlc
-            };
-            self.owners.clear_block(v);
-            self.oob.remove(&v);
-            match dev.try_erase(meta.addr, mode) {
-                Ok(res) => {
-                    batch.push(self.chip_of(meta.addr), FlashOpKind::Erase, res.latency_ns);
-                    self.blocks.release(meta.addr);
-                    reclaimed += 1;
-                }
-                Err(e) => {
-                    // A failed pulse (EraseFailed) still occupied the chip;
-                    // any other rejection issued no pulse. Either way the
-                    // block is permanently retired instead of re-entering the
-                    // pool — losing a block is recoverable, a panic is not.
-                    if let FlashError::EraseFailed { latency_ns, .. } = e {
-                        batch.push(self.chip_of(meta.addr), FlashOpKind::Erase, latency_ns);
-                    }
-                    self.bad_blocks.insert(v);
-                    self.stats.retired_blocks += 1;
-                    self.blocks.retire(meta.addr);
-                }
+            if let Some((addr, _)) = self.erase_block(dev, v, batch) {
+                self.blocks.release(addr);
+                reclaimed += 1;
             }
         }
         reclaimed
@@ -806,7 +769,7 @@ impl FtlCore {
         self.read_runs = runs;
         outcome?;
 
-        if unmapped > 0 && self.cfg.serve_unmapped_reads_from_mlc {
+        if unmapped > 0 {
             self.charge_unmapped_read(dev, req, unmapped, batch);
         }
         Ok(())
@@ -961,9 +924,9 @@ impl FtlCore {
 
     /// Collects the valid data of a victim block into `out` (cleared first),
     /// grouped per page. Reusing a caller-owned buffer keeps GC rounds free
-    /// of per-round heap allocation — the driver takes/puts back the core's
-    /// `gc_groups` scratch around its victim loop.
-    pub fn collect_victim_groups_into(
+    /// of per-round heap allocation — [`Self::reclaim_block`] takes/puts
+    /// back the core's `gc_groups` scratch around its relocation loop.
+    fn collect_victim_groups_into(
         &self,
         dev: &FlashDevice,
         block_idx: u64,
@@ -1001,9 +964,9 @@ impl FtlCore {
         }
     }
 
-    /// Allocating form of [`Self::collect_victim_groups_into`] (rare paths:
-    /// block retirement, scrub).
-    pub fn collect_victim_groups(&self, dev: &FlashDevice, block_idx: u64) -> Vec<PageGroup> {
+    /// Allocating form of [`Self::collect_victim_groups_into`] (rare path:
+    /// block retirement).
+    fn collect_victim_groups(&self, dev: &FlashDevice, block_idx: u64) -> Vec<PageGroup> {
         let mut groups = Vec::new();
         self.collect_victim_groups_into(dev, block_idx, &mut groups);
         groups
@@ -1015,7 +978,7 @@ impl FtlCore {
     /// An error leaves the victim's remaining subpages valid and mapped —
     /// callers must abort the victim's erase, never tear down partially-moved
     /// data.
-    pub fn relocate_group(
+    fn relocate_group(
         &mut self,
         dev: &mut FlashDevice,
         victim_addr: BlockAddr,
@@ -1064,33 +1027,77 @@ impl FtlCore {
         Ok(())
     }
 
-    /// Finishes a GC: records Figure 9 utilization, erases the victim back
-    /// into its region's mode and schedules its return to the free pool for
-    /// when the erase completes (`now` + erase latency).
-    pub fn erase_victim(
+    /// Reclaims in-use block `victim`, the move-and-erase half of every GC
+    /// and wear-leveling round: relocates each page of valid data to the
+    /// level `dest` picks for it, then, if every page moved, records Figure
+    /// 9 utilization for an SLC victim, erases it and schedules its return to
+    /// the free pool for when the erase completes (`now` + erase latency). A
+    /// failed relocation stops the round with the un-moved data still valid
+    /// and mapped in place, and the victim is not erased.
+    ///
+    /// Returns the flash time of the ops the round pushed to `batch` when
+    /// every page moved, `None` when one did not.
+    pub(crate) fn reclaim_block(
+        &mut self,
+        dev: &mut FlashDevice,
+        victim: u64,
+        now: Nanos,
+        batch: &mut OpBatch,
+        dest: impl Fn(&PageGroup) -> BlockLevel,
+    ) -> Option<Nanos> {
+        let victim_addr = self.meta.get(victim)?.addr;
+        let cost_before = batch.total_latency_sum();
+        let mut groups = std::mem::take(&mut self.gc_groups);
+        let groups_cap = groups.capacity();
+        self.collect_victim_groups_into(dev, victim, &mut groups);
+        let moved = groups.iter().all(|group| {
+            self.relocate_group(dev, victim_addr, group, dest(group), now, batch)
+                .is_ok()
+        });
+        if groups.capacity() != groups_cap {
+            self.stats.scratch_grows += 1;
+        }
+        self.gc_groups = groups;
+        if !moved {
+            return None;
+        }
+        if self.meta.level(victim).is_some_and(|l| l.is_slc()) {
+            let block = dev.block_by_index(victim);
+            let total = block.total_subpages();
+            let used = total - block.count_subpages(SubpageState::Free);
+            self.stats.gc_victim_used_subpages += used as u64;
+            self.stats.gc_victim_total_subpages += total as u64;
+        }
+        if let Some((addr, erase_ns)) = self.erase_block(dev, victim, batch) {
+            self.blocks.release_at(addr, now + erase_ns);
+            if self.wear_leveler.note_erase(&self.cfg.wear_leveling) {
+                self.wl_check_due = true;
+            }
+        }
+        Some(batch.total_latency_sum() - cost_before)
+    }
+
+    /// Closes in-use block `block_idx`, counts a GC run for its level and
+    /// erases it back into its region's mode. Returns its address and the
+    /// erase latency; the caller returns it to the free pool. `None` if the
+    /// block is untracked, or if the erase failed: a failed pulse
+    /// (`EraseFailed`) still occupied the chip and any other rejection
+    /// issued none, and either way the block is retired instead of
+    /// rejoining the pool — losing a block is recoverable, a panic is not.
+    fn erase_block(
         &mut self,
         dev: &mut FlashDevice,
         block_idx: u64,
-        now: Nanos,
         batch: &mut OpBatch,
-    ) {
-        let Some(meta) = self.meta.close_block(block_idx) else {
-            debug_assert!(false, "erase_victim on untracked block {block_idx}");
-            return;
-        };
+    ) -> Option<(BlockAddr, Nanos)> {
+        let meta = self.meta.close_block(block_idx)?;
         self.victim_index.remove(block_idx);
-        let addr = meta.addr;
-        let block = dev.block_by_index(block_idx);
-        let total = block.total_subpages();
-        let used = total - block.count_subpages(SubpageState::Free);
         if meta.level.is_slc() {
-            self.stats.gc_victim_used_subpages += used as u64;
-            self.stats.gc_victim_total_subpages += total as u64;
             self.stats.gc_runs_slc += 1;
         } else {
             self.stats.gc_runs_mlc += 1;
         }
-
+        let addr = meta.addr;
         let mode = if self.blocks.is_slc_region(addr) {
             CellMode::Slc
         } else {
@@ -1098,25 +1105,20 @@ impl FtlCore {
         };
         self.owners.clear_block(block_idx);
         self.oob.remove(&block_idx);
+        let chip = self.chip_of(addr);
         match dev.try_erase(addr, mode) {
             Ok(res) => {
-                batch.push(self.chip_of(addr), FlashOpKind::Erase, res.latency_ns);
-                self.blocks.release_at(addr, now + res.latency_ns);
-                if self.wear_leveler.note_erase(&self.cfg.wear_leveling) {
-                    self.wl_check_due = true;
-                }
+                batch.push(chip, FlashOpKind::Erase, res.latency_ns);
+                Some((addr, res.latency_ns))
             }
             Err(e) => {
-                // A failed pulse (EraseFailed) still occupied the chip; any
-                // other rejection issued no pulse. The victim (already fully
-                // relocated) is retired instead of rejoining the pool —
-                // losing a block is recoverable, a panic is not.
                 if let FlashError::EraseFailed { latency_ns, .. } = e {
-                    batch.push(self.chip_of(addr), FlashOpKind::Erase, latency_ns);
+                    batch.push(chip, FlashOpKind::Erase, latency_ns);
                 }
                 self.bad_blocks.insert(block_idx);
                 self.stats.retired_blocks += 1;
                 self.blocks.retire(addr);
+                None
             }
         }
     }
@@ -1161,37 +1163,18 @@ impl FtlCore {
         if !WearLeveler::gap_exceeded(&self.cfg.wear_leveling, min_pe, max_pe) {
             return;
         }
-        let Some(victim_meta) = self.meta.get(victim) else {
+        let Some(level) = self.meta.level(victim) else {
             return; // candidate scan raced with a close; skip this check
         };
         batch.begin_background_round(RoundOrigin::WearLevel);
-        let victim_addr = victim_meta.addr;
-        let level = victim_meta.level;
-        let mut groups = std::mem::take(&mut self.gc_groups);
-        let groups_cap = groups.capacity();
-        self.collect_victim_groups_into(dev, victim, &mut groups);
-        let mut stalled = false;
-        for group in &groups {
-            if self
-                .relocate_group(dev, victim_addr, group, level, now, batch)
-                .is_err()
-            {
-                // Movement stalled (space or media): abandon this migration
-                // without erasing — the un-moved data is still valid in place.
-                stalled = true;
-                break;
-            }
+        // A stalled move (space or media) abandons the migration unerased.
+        if self
+            .reclaim_block(dev, victim, now, batch, |_| level)
+            .is_some()
+        {
+            self.stats.wear_leveling_migrations += 1;
+            ipu_obs::event(ipu_obs::Phase::Migration, "wear_level_migration", victim);
         }
-        if groups.capacity() != groups_cap {
-            self.stats.scratch_grows += 1;
-        }
-        self.gc_groups = groups;
-        if stalled {
-            return;
-        }
-        self.erase_victim(dev, victim, now, batch);
-        self.stats.wear_leveling_migrations += 1;
-        ipu_obs::event(ipu_obs::Phase::Migration, "wear_level_migration", victim);
     }
 
     /// Exhaustively cross-checks logical and physical state; returns the
@@ -1360,7 +1343,6 @@ impl FtlCore {
             let _span = ipu_obs::span(ipu_obs::Phase::Gc);
             batch.begin_background_round(RoundOrigin::Gc);
             rounds += 1;
-            let cost_before = batch.total_latency_sum();
             let victim = {
                 let cands = self
                     .meta
@@ -1369,102 +1351,13 @@ impl FtlCore {
                     .map(|(i, m)| (i, dev.block_by_index(i), m.opened_seq()));
                 select_greedy(cands, GcGranularity::Subpage)
             };
-            let Some(victim) = victim else { break };
-            let Some(victim_addr) = self.meta.get(victim).map(|m| m.addr) else {
+            // No victim, or a stalled move: stop until the next write.
+            let Some(round_cost) = victim
+                .and_then(|v| self.reclaim_block(dev, v, now, batch, |_| BlockLevel::HighDensity))
+            else {
                 break;
             };
-            let mut groups = std::mem::take(&mut self.gc_groups);
-            let groups_cap = groups.capacity();
-            self.collect_victim_groups_into(dev, victim, &mut groups);
-            let mut aborted = false;
-            for group in &groups {
-                if self
-                    .relocate_group(dev, victim_addr, group, BlockLevel::HighDensity, now, batch)
-                    .is_err()
-                {
-                    aborted = true;
-                    break;
-                }
-            }
-            if groups.capacity() != groups_cap {
-                self.stats.scratch_grows += 1;
-            }
-            self.gc_groups = groups;
-            if aborted {
-                // Un-moved data is still valid in place; never erase a
-                // partially-relocated victim.
-                break;
-            }
-            self.erase_victim(dev, victim, now, batch);
-            let round_cost = batch.total_latency_sum() - cost_before;
             self.finish_mlc_gc_round(now, round_cost);
-        }
-    }
-
-    /// Background scrub/refresh: scans a bounded window of in-use SLC blocks
-    /// (round-robin across requests) and rewrites pages whose accumulated
-    /// disturb pushes any valid subpage's expected raw bit errors past the
-    /// configured fraction of ECC capability. Off by default
-    /// (`ScrubConfig::enabled`), so the paper's figures are unaffected.
-    pub fn run_scrub_if_due(&mut self, dev: &mut FlashDevice, now: Nanos, batch: &mut OpBatch) {
-        if !self.cfg.scrub.enabled {
-            return;
-        }
-        let _span = ipu_obs::span(ipu_obs::Phase::Migration);
-        batch.begin_background_round(RoundOrigin::Scrub);
-        let subpage_size = self.geometry.subpage_size;
-        let watermark =
-            self.cfg.scrub.rber_watermark * dev.config().ecc.correctable_bits(subpage_size) as f64;
-        let bits_per_subpage = (subpage_size * 8) as f64;
-
-        let mut slc: Vec<u64> = self.meta.slc_blocks().map(|(i, _)| i).collect();
-        slc.sort_unstable();
-        if slc.is_empty() {
-            return;
-        }
-        let offset = (self.scrub_cursor % slc.len() as u64) as usize;
-        let mut rewrites = 0u32;
-        for k in 0..slc.len().min(SCRUB_BLOCKS_PER_PASS) {
-            let block_idx = slc[(offset + k) % slc.len()];
-            self.scrub_cursor = self.scrub_cursor.wrapping_add(1);
-            let Some(meta) = self.meta.get(block_idx) else {
-                continue;
-            };
-            let addr = meta.addr;
-            let level = meta.level;
-            if self.is_active(addr) {
-                continue;
-            }
-            // Pages where any valid subpage is past the watermark.
-            let block = dev.block_by_index(block_idx);
-            let mut hot_pages: Vec<u32> = Vec::new();
-            for p in 0..block.page_count() {
-                let page = block.page(p);
-                for s in 0..page.subpage_count() {
-                    if page.subpage(s) == SubpageState::Valid {
-                        let spa = Spa::new(addr.page(p), s);
-                        if dev.effective_rber(spa) * bits_per_subpage > watermark {
-                            hot_pages.push(p);
-                            break;
-                        }
-                    }
-                }
-            }
-            if hot_pages.is_empty() {
-                continue;
-            }
-            let groups = self.collect_victim_groups(dev, block_idx);
-            for g in groups.iter().filter(|g| hot_pages.contains(&g.page)) {
-                if rewrites >= self.cfg.scrub.max_pages_per_pass
-                    || self
-                        .relocate_group(dev, addr, g, level, now, batch)
-                        .is_err()
-                {
-                    return;
-                }
-                self.stats.scrub_rewrites += 1;
-                rewrites += 1;
-            }
         }
     }
 
@@ -1488,7 +1381,6 @@ impl FtlCore {
         self.mlc_gc_ready_at = 0;
         self.wear_leveler = WearLeveler::new();
         self.wl_check_due = false;
-        self.scrub_cursor = 0;
 
         // Replay OOB records in open order so ISR GC's FIFO tie-breaking is
         // preserved across the power cycle.
@@ -1854,19 +1746,12 @@ mod tests {
         assert_eq!(total_valid, 4 + 1 + 1);
 
         // Relocate everything to MLC and erase.
-        let victim_addr = p0.block_addr();
-        for g in &groups {
-            core.relocate_group(
-                &mut dev,
-                victim_addr,
-                g,
-                BlockLevel::HighDensity,
-                10,
-                &mut batch,
-            )
-            .unwrap();
-        }
-        core.erase_victim(&mut dev, victim_idx, 10, &mut batch);
+        let cost = core
+            .reclaim_block(&mut dev, victim_idx, 10, &mut batch, |_| {
+                BlockLevel::HighDensity
+            })
+            .expect("every page moves");
+        assert!(cost >= dev.config().timing.erase_ns());
 
         // Mapping intact: every LSN still resolves, now in MLC.
         for lsn in [0u64, 1, 2, 3, 8, 9] {
@@ -1879,9 +1764,8 @@ mod tests {
         assert_eq!(core.stats.gc_moved_subpages, 6);
         assert_eq!(core.stats.gc_evicted_subpages, 6);
         assert_eq!(core.stats.gc_runs_slc, 1);
-        // Fig. 9 accounting: victim had 3 programmed pages (12 subpages used
-        // counting the invalid one... p0 block: page0 4 + page1 2 + page2 1 = 7? No:
-        // used counts *programmed* subpages (valid+invalid) = 4 + 2 + 1 = 7.
+        // Fig. 9 accounting: used counts *programmed* subpages (valid +
+        // invalid) over the victim's three pages, 4 + 2 + 1 = 7.
         assert_eq!(core.stats.gc_victim_used_subpages, 7);
         assert_eq!(core.stats.gc_victim_total_subpages, 16);
         // Only one SLC block was ever allocated (p0..p2 share it). The erase

@@ -21,9 +21,9 @@
 //!   one bit carries them; `FtlConfig::ipu_use_isr_gc` turns the ISR victim
 //!   choice off as an ablation.
 //!
-//! Everything the schemes share — allocation, programming, the read path, GC
-//! mechanics, MLC GC, wear-leveling, scrub and power-loss rebuild — lives in
-//! [`common::FtlCore`].
+//! Everything the schemes share — allocation, programming, the read path, the
+//! move-and-erase cycle of every reclaim, MLC GC, wear-leveling and
+//! power-loss rebuild — lives in [`common::FtlCore`].
 
 pub mod common;
 
@@ -39,7 +39,7 @@ use crate::memory::MappingMemory;
 use crate::ops::{FlashOpKind, OpBatch, RoundOrigin};
 use crate::stats::FtlStats;
 use crate::types::{BlockLevel, Lsn};
-use common::FtlCore;
+use common::{FtlCore, PageGroup};
 
 /// A pluggable FTL scheme.
 pub trait FtlScheme {
@@ -444,72 +444,44 @@ impl SchemeFtl {
         }
     }
 
-    /// SLC GC after a write chunk (Algorithm 1 lines 14–19), then the core's
-    /// MLC GC, wear-leveling and scrub.
+    /// One SLC GC round after a write chunk (Algorithm 1 lines 14–19) when
+    /// the cache needs one, then the core's MLC GC and wear-leveling.
     fn run_gc(&mut self, now: Nanos, dev: &mut FlashDevice, batch: &mut OpBatch) {
-        let in_place = self.kind.updates_in_place();
-        let mut rounds = 0;
-        while self.core.slc_gc_needed()
-            && self.core.slc_gc_gate_open(now)
-            && rounds < self.core.cfg.gc_rounds_per_write
-        {
-            let _span = ipu_obs::span(ipu_obs::Phase::Gc);
-            batch.begin_background_round(RoundOrigin::Gc);
-            rounds += 1;
-            let cost_before = batch.total_latency_sum();
-            let victim = if in_place && self.core.cfg.ipu_use_isr_gc {
-                self.core.select_slc_victim_isr(dev, now)
-            } else {
-                self.core.select_slc_victim_greedy()
-            };
-            let Some(victim) = victim else { break };
-            let Some((victim_addr, victim_level)) =
-                self.core.meta.get(victim).map(|m| (m.addr, m.level))
-            else {
-                break;
-            };
-            // Victim pages can no longer serve as packing targets.
-            self.open_pages.retain(|p| p.block_addr() != victim_addr);
-            let mut aborted = false;
-            let mut groups = std::mem::take(&mut self.core.gc_groups);
-            let groups_cap = groups.capacity();
-            self.core
-                .collect_victim_groups_into(dev, victim, &mut groups);
-            for group in &groups {
-                // Plain cache eviction sends all valid data to MLC. Degraded
-                // movement keeps updated pages at their level and sinks cold
-                // pages one level (Work-level cold data leaves the cache).
-                let dest = if !in_place {
-                    BlockLevel::HighDensity
-                } else if group.updated {
-                    victim_level
-                } else {
-                    victim_level.demoted()
-                };
-                if self
-                    .core
-                    .relocate_group(dev, victim_addr, group, dest, now, batch)
-                    .is_err()
-                {
-                    aborted = true;
-                    break;
-                }
-            }
-            if groups.capacity() != groups_cap {
-                self.core.stats.scratch_grows += 1;
-            }
-            self.core.gc_groups = groups;
-            if aborted {
-                // Never erase a partially-relocated victim.
-                break;
-            }
-            self.core.erase_victim(dev, victim, now, batch);
-            let round_cost = batch.total_latency_sum() - cost_before;
-            self.core.finish_slc_gc_round(now, round_cost);
+        if self.core.slc_gc_needed() && self.core.slc_gc_gate_open(now) {
+            self.run_slc_gc_round(now, dev, batch);
         }
         self.core.run_mlc_gc_if_needed(dev, now, batch);
         self.core.run_wear_leveling_if_due(dev, now, batch);
-        self.core.run_scrub_if_due(dev, now, batch);
+    }
+
+    /// Picks an SLC victim (ISR or greedy) and reclaims it. Plain cache
+    /// eviction sends all valid data to MLC. Degraded movement keeps updated
+    /// pages at their level and sinks cold pages one level (Work-level cold
+    /// data leaves the cache).
+    fn run_slc_gc_round(&mut self, now: Nanos, dev: &mut FlashDevice, batch: &mut OpBatch) {
+        let _span = ipu_obs::span(ipu_obs::Phase::Gc);
+        batch.begin_background_round(RoundOrigin::Gc);
+        let in_place = self.kind.updates_in_place();
+        let victim = if in_place && self.core.cfg.ipu_use_isr_gc {
+            self.core.select_slc_victim_isr(dev, now)
+        } else {
+            self.core.select_slc_victim_greedy()
+        };
+        let Some((victim, addr, level)) =
+            victim.and_then(|v| self.core.meta.get(v).map(|m| (v, m.addr, m.level)))
+        else {
+            return;
+        };
+        // Victim pages can no longer serve as packing targets.
+        self.open_pages.retain(|p| p.block_addr() != addr);
+        let dest = |group: &PageGroup| match (in_place, group.updated) {
+            (false, _) => BlockLevel::HighDensity,
+            (true, true) => level,
+            (true, false) => level.demoted(),
+        };
+        if let Some(round_cost) = self.core.reclaim_block(dev, victim, now, batch, dest) {
+            self.core.finish_slc_gc_round(now, round_cost);
+        }
     }
 }
 

@@ -73,7 +73,9 @@ pub struct FtlStats {
     /// ladder, plus subpages unrecoverable during block retirement.
     #[serde(default)]
     pub data_loss_events: u64,
-    /// Pages rewritten by the background scrub/refresh pass.
+    /// Always 0. Counted the pages of a background scrub pass that no
+    /// config enabled and that has been removed; kept so saved reports and
+    /// the benchmark's counter fingerprints keep their fields.
     #[serde(default)]
     pub scrub_rewrites: u64,
     /// Times a reusable scratch buffer (read-run merge list, GC page-group

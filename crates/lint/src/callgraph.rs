@@ -28,7 +28,7 @@
 //! * `FlashDevice::{program, read, read_scaled, try_erase}` — the flash
 //!   array entry points (crate `flash`);
 //! * every method of `EventCore` (crate `sim`) — the event-core dispatch
-//!   machinery that interleaves GC/scrub pulses with host ops.
+//!   machinery that interleaves background pulses with host ops.
 //!
 //! A *panicking token* inside any reachable fn is a finding: `.unwrap(` /
 //! `.expect(`, the panic macro family, and slice indexing **inside `match`

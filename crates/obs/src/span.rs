@@ -24,7 +24,7 @@ pub enum Phase {
     FtlRead,
     /// Garbage collection rounds (SLC cache eviction and MLC GC).
     Gc,
-    /// Wear-leveling migrations and background scrub passes.
+    /// Static wear-leveling migrations.
     Migration,
     /// ECC retry-ladder walks on uncorrectable reads.
     EccRetry,

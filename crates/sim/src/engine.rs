@@ -98,8 +98,8 @@ impl BusyBreakdown {
     }
 
     /// Utilization of the read channel. Reads run with program/erase
-    /// suspension (see `ChipSchedule::schedule_read`), so they occupy a
-    /// separate per-chip timeline from writes.
+    /// suspension (see `EventCore::dispatch`), so they occupy a separate
+    /// per-chip timeline from writes.
     pub fn read_utilization(&self, chips: u32, horizon: Nanos) -> f64 {
         if horizon == 0 {
             return 0.0;
@@ -114,7 +114,7 @@ impl BusyBreakdown {
     /// lets a read overlap a program on the same chip — summing both into one
     /// pool double-books the chip and can report utilizations above 1.0 on
     /// read-heavy bursts. As long as `horizon` covers both channels (see
-    /// `ChipSchedule::horizon`), each per-channel utilization is ≤ 1 by
+    /// `EventCore::horizon`), each per-channel utilization is ≤ 1 by
     /// construction, and so is the maximum.
     pub fn utilization(&self, chips: u32, horizon: Nanos) -> f64 {
         self.program_utilization(chips, horizon)
@@ -147,8 +147,8 @@ pub fn replay(cfg: &ReplayConfig, requests: &[IoRequest], trace_name: &str) -> S
 ///
 /// The replay runs on the discrete-event core ([`EventCore`]): requests
 /// issue in the already-sorted stream's order, and before each one the core
-/// runs the queued GC / scrub pulses whose start has passed. With the
-/// default [`TimingConfig`] the timeline is bit-identical to
+/// runs the queued GC / wear-leveling pulses whose start has passed. With
+/// the default [`TimingConfig`] the timeline is bit-identical to
 /// [`replay_oracle`] (pinned by the `event_core_equivalence` property test).
 pub fn replay_with_progress(
     cfg: &ReplayConfig,

@@ -1,5 +1,5 @@
 //! Discrete-event replay core: host operations interleaved with background
-//! GC, scrub and wear-leveling rounds, timed NAND pulse by NAND pulse.
+//! GC and wear-leveling rounds, timed NAND pulse by NAND pulse.
 //!
 //! The inline engine ([`ChipSchedule`](crate::resources::ChipSchedule)) drains
 //! background work lazily, as a side effect of host scheduling. [`EventCore`]
@@ -61,7 +61,7 @@ use ipu_trace::OpKind;
 use serde::{Deserialize, Serialize};
 
 /// How the write channel shares time between host operations and an
-/// in-progress background (GC / scrub / wear-leveling) round.
+/// in-progress background (GC / wear-leveling) round.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum GcMode {

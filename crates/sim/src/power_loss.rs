@@ -179,9 +179,10 @@ pub struct PowerLossReport {
     pub mapped_subpages: u64,
     /// In-use blocks the rebuild restored.
     pub restored_blocks: u64,
-    /// Background (GC/scrub) nanoseconds still queued on the event core when
-    /// power was cut — in-flight rounds the loss interrupted. Recovery must
-    /// hold regardless of how much background work was outstanding.
+    /// Background (GC / wear-leveling) nanoseconds still queued on the event
+    /// core when power was cut — in-flight rounds the loss interrupted.
+    /// Recovery must hold regardless of how much background work was
+    /// outstanding.
     pub interrupted_background_ns: Nanos,
 }
 
