@@ -1027,13 +1027,13 @@ impl FtlCore {
         Ok(())
     }
 
-    /// Reclaims in-use block `victim`, the move-and-erase half of every GC
-    /// and wear-leveling round: relocates each page of valid data to the
-    /// level `dest` picks for it, then, if every page moved, records Figure
-    /// 9 utilization for an SLC victim, erases it and schedules its return to
-    /// the free pool for when the erase completes (`now` + erase latency). A
-    /// failed relocation stops the round with the un-moved data still valid
-    /// and mapped in place, and the victim is not erased.
+    /// Reclaims in-use block `victim`, the move-and-erase half of every SLC
+    /// GC, MLC GC and wear-leveling round: relocates each page of valid data
+    /// to the level `dest` picks for it, then, if every page moved, records
+    /// Figure 9 utilization for an SLC victim, erases it and schedules its
+    /// return to the free pool for when the erase completes (`now` + erase
+    /// latency). A failed relocation stops the round with the un-moved data
+    /// still valid and mapped in place, and the victim is not erased.
     ///
     /// Returns the flash time of the ops the round pushed to `batch` when
     /// every page moved, `None` when one did not.
