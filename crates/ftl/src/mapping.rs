@@ -1,5 +1,6 @@
-//! Address translation: the forward map (logical subpage → physical subpage)
-//! and the reverse owner table (physical subpage → logical subpage).
+//! Address translation: the forward map (logical subpage → physical
+//! subpage). The reverse direction needs no table: the owner of a valid
+//! subpage is the LSN in its OOB tag (`FtlCore::owner`).
 //!
 //! All four schemes share this machinery; what differs is the *analytic
 //! memory accounting* of Figure 11 (see [`crate::memory`]), which models what
@@ -8,13 +9,13 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use ipu_flash::{FlashGeometry, Ppa, Spa};
+use ipu_flash::{Ppa, Spa};
 use serde::{Deserialize, Serialize};
 
 use crate::types::{Lcn, Lsn};
 
-/// Multiply-xor hasher for the dense integer keys both tables use (bucket and
-/// block indices). The default SipHash is DoS-resistant, which simulation
+/// Multiply-xor hasher for the dense integer keys the forward map uses
+/// (bucket and chunk indices). The default SipHash is DoS-resistant, which simulation
 /// state does not need; this hasher is a single rotate/xor/multiply per key
 /// and measurably shortens every map probe on the write hot path. Iteration
 /// order is only consumed by order-independent aggregates (and becomes
@@ -98,9 +99,12 @@ struct MapBucket {
     spas: [Spa; BUCKET_LSNS as usize],
 }
 
-/// LSNs per bucket. 8 keeps a bucket at one cache line of `Spa`s and is a
-/// multiple of every supported `subpages_per_page`, so a page-aligned chunk
-/// never straddles more than one bucket boundary.
+/// LSNs per bucket. A bucket is its `u8` mask plus eight 28-byte `Spa`s,
+/// 228 bytes with padding, so it spans about four cache lines. 8 is the
+/// largest supported `subpages_per_page` (`MAX_SUBPAGES_PER_PAGE`), so a
+/// page-aligned chunk straddles at most one bucket boundary; with 1, 2, 4 or
+/// 8 subpages per page it straddles none, while the 3, 5, 6 and 7 that
+/// `FlashGeometry::validate` also accepts let some chunks straddle one.
 const BUCKET_LSNS: u64 = 8;
 
 impl MapBucket {
@@ -249,89 +253,6 @@ pub struct ChunkSummary {
     pub mapped_subpages: u64,
 }
 
-/// Reverse map: physical subpage → owning logical subpage.
-///
-/// Required by GC to relocate valid data. Block entries are allocated lazily
-/// (a paper-scale device has 33 M physical subpages, most never touched).
-#[derive(Debug, Clone)]
-pub struct OwnerTable {
-    /// block index → owner LSN per (page × subpage) slot; `NONE` if unowned.
-    blocks: HashMap<u64, Vec<Lsn>, FxBuildHasher>,
-    slots_per_block: usize,
-    subpages_per_page: u32,
-}
-
-const NONE_OWNER: Lsn = Lsn::MAX;
-
-impl OwnerTable {
-    pub fn new(geometry: &FlashGeometry) -> Self {
-        OwnerTable {
-            blocks: HashMap::default(),
-            // Sized for the larger (MLC) page count so mode switches never
-            // reallocate.
-            slots_per_block: (geometry.pages_per_block_mlc * geometry.subpages_per_page()) as usize,
-            subpages_per_page: geometry.subpages_per_page(),
-        }
-    }
-
-    #[inline]
-    fn slot(&self, spa: Spa) -> usize {
-        (spa.ppa.page * self.subpages_per_page + spa.subpage as u32) as usize
-    }
-
-    /// Records `lsn` as the owner of `spa`.
-    pub fn set(&mut self, block_idx: u64, spa: Spa, lsn: Lsn) {
-        let slots = self.slots_per_block;
-        let v = self
-            .blocks
-            .entry(block_idx)
-            .or_insert_with(|| vec![NONE_OWNER; slots]);
-        let slot = (spa.ppa.page * self.subpages_per_page + spa.subpage as u32) as usize;
-        v[slot] = lsn;
-    }
-
-    /// Clears the owner of `spa` (subpage invalidated).
-    pub fn clear(&mut self, block_idx: u64, spa: Spa) {
-        let slot = self.slot(spa);
-        if let Some(v) = self.blocks.get_mut(&block_idx) {
-            v[slot] = NONE_OWNER;
-        }
-    }
-
-    /// Owner of `spa`, if any.
-    pub fn owner(&self, block_idx: u64, spa: Spa) -> Option<Lsn> {
-        let slot = self.slot(spa);
-        self.blocks
-            .get(&block_idx)
-            .and_then(|v| v.get(slot))
-            .copied()
-            .filter(|&l| l != NONE_OWNER)
-    }
-
-    /// Drops all owner records of a block (called at erase).
-    pub fn clear_block(&mut self, block_idx: u64) {
-        self.blocks.remove(&block_idx);
-    }
-
-    /// Owners within one page, by subpage offset.
-    pub fn page_owners(&self, block_idx: u64, page: u32) -> Vec<Option<Lsn>> {
-        (0..self.subpages_per_page)
-            .map(|s| {
-                self.blocks
-                    .get(&block_idx)
-                    .and_then(|v| v.get((page * self.subpages_per_page + s) as usize))
-                    .copied()
-                    .filter(|&l| l != NONE_OWNER)
-            })
-            .collect()
-    }
-
-    /// Number of blocks with allocated owner storage (memory introspection).
-    pub fn allocated_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,28 +330,5 @@ mod tests {
         assert_eq!(m.remove(0), Some(spa(0, 1, 0)));
         assert_eq!(m.len(), 1);
         assert_eq!(m.iter().count(), 1);
-    }
-
-    #[test]
-    fn owner_table_lazy_allocation_and_round_trip() {
-        let g = FlashGeometry::small_for_tests();
-        let mut o = OwnerTable::new(&g);
-        assert_eq!(o.allocated_blocks(), 0);
-        assert!(o.owner(3, spa(3, 1, 2)).is_none());
-
-        o.set(3, spa(3, 1, 2), 99);
-        assert_eq!(o.allocated_blocks(), 1);
-        assert_eq!(o.owner(3, spa(3, 1, 2)), Some(99));
-
-        o.clear(3, spa(3, 1, 2));
-        assert!(o.owner(3, spa(3, 1, 2)).is_none());
-
-        o.set(3, spa(3, 0, 0), 5);
-        o.set(3, spa(3, 0, 1), 6);
-        assert_eq!(o.page_owners(3, 0), vec![Some(5), Some(6), None, None]);
-
-        o.clear_block(3);
-        assert_eq!(o.allocated_blocks(), 0);
-        assert!(o.owner(3, spa(3, 0, 0)).is_none());
     }
 }

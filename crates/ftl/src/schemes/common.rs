@@ -4,7 +4,7 @@
 //! decides only where writes land, which victim policy GC uses and where GC
 //! moves data; everything else lives here.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use ipu_flash::{
     BlockAddr, CellMode, FlashDevice, FlashError, FlashGeometry, Nanos, Ppa, RetryLadder, Spa,
@@ -19,7 +19,7 @@ use crate::error::FtlError;
 use crate::gc::{
     greedy_score, isr_jensen_bound, isr_score_fast, select_greedy, select_isr, GcGranularity,
 };
-use crate::mapping::{MappingTable, OwnerTable};
+use crate::mapping::MappingTable;
 use crate::ops::{FlashOpKind, OpBatch, ReqStatus, RoundOrigin};
 use crate::stats::FtlStats;
 use crate::types::{BlockLevel, Lsn};
@@ -85,7 +85,10 @@ struct SubTag {
 
 /// Durable per-block shadow: level label, open order and the OOB tags of
 /// every subpage programmed in the current erase cycle. Erase drops the
-/// entry (OOB is erased with the data); retirement drops it too.
+/// entry (OOB is erased with the data); retirement drops it too. The tag of
+/// a subpage the device holds `Valid` names its owner, the LSN the forward
+/// map sends there, so GC reads a victim's owners from its tags the way a
+/// page-mapping FTL reads them from the spare area.
 #[derive(Debug, Clone)]
 struct BlockOob {
     level: BlockLevel,
@@ -99,6 +102,13 @@ struct BlockOob {
 }
 
 impl BlockOob {
+    /// LSN in the tag of page-major slot `slot`, if that subpage was
+    /// programmed this erase cycle.
+    #[inline]
+    fn lsn_at(&self, slot: usize) -> Option<Lsn> {
+        self.tags.get(slot)?.as_ref().map(|t| t.lsn)
+    }
+
     /// Tags present, in ascending (page, subpage) order.
     fn iter_tags(&self, spp: u32) -> impl Iterator<Item = (u32, u8, &SubTag)> {
         self.tags.iter().enumerate().filter_map(move |(slot, t)| {
@@ -113,7 +123,6 @@ impl BlockOob {
 pub struct FtlCore {
     pub cfg: FtlConfig,
     pub map: MappingTable,
-    pub owners: OwnerTable,
     pub blocks: BlockManager,
     pub meta: CacheMeta,
     pub stats: FtlStats,
@@ -144,8 +153,9 @@ pub struct FtlCore {
     /// survives power loss. Ordered so free-pool reconstruction and reports
     /// see a deterministic sequence.
     bad_blocks: BTreeSet<u64>,
-    /// Durable OOB shadow per in-use block (see [`BlockOob`]).
-    oob: BTreeMap<u64, BlockOob>,
+    /// Durable OOB shadow, indexed by dense block index; `None` for a block
+    /// with nothing programmed since its last erase (see [`BlockOob`]).
+    oob: Vec<Option<BlockOob>>,
     /// Reusable read-run merge buffer: `host_read` takes it, fills it, and
     /// puts it back, so steady-state reads allocate nothing.
     read_runs: Vec<(Spa, u8)>,
@@ -174,9 +184,9 @@ impl FtlCore {
         FtlCore {
             cfg,
             map: MappingTable::new(),
-            owners: OwnerTable::new(&geometry),
             blocks,
             meta: CacheMeta::with_blocks(geometry.total_blocks()),
+            oob: vec![None; geometry.total_blocks() as usize],
             stats: FtlStats::default(),
             geometry,
             actives: [Vec::new(), Vec::new(), Vec::new(), Vec::new()],
@@ -188,7 +198,6 @@ impl FtlCore {
             wl_check_due: false,
             retry: dev.config().retry.clone(),
             bad_blocks: BTreeSet::new(),
-            oob: BTreeMap::new(),
             read_runs: Vec::new(),
             gc_groups: Vec::new(),
             isr_scratch: Vec::new(),
@@ -299,6 +308,35 @@ impl FtlCore {
             }
         }
         self.actives[li].clear();
+    }
+
+    /// Owner of subpage `spa` of block `block_idx`: the LSN its OOB tag
+    /// names, while the device holds the subpage `Valid`. A free or
+    /// superseded subpage has no owner.
+    pub fn owner(&self, dev: &FlashDevice, block_idx: u64, spa: Spa) -> Option<Lsn> {
+        let block = dev.block_by_index(block_idx);
+        let (p, s) = (spa.ppa.page, spa.subpage);
+        let page = (p < block.page_count()).then(|| block.page(p))?;
+        if s >= page.subpage_count() || page.subpage(s) != SubpageState::Valid {
+            return None;
+        }
+        let slot = (p * self.geometry.subpages_per_page() + s as u32) as usize;
+        self.block_oob(block_idx)?.lsn_at(slot)
+    }
+
+    /// OOB shadow of block `block_idx`, if anything was programmed there
+    /// since its last erase.
+    #[inline]
+    fn block_oob(&self, block_idx: u64) -> Option<&BlockOob> {
+        self.oob.get(block_idx as usize)?.as_ref()
+    }
+
+    /// Drops a block's OOB shadow: an erase clears the spare area with the
+    /// data, and a retired block holds nothing recovery should replay.
+    fn drop_oob(&mut self, block_idx: u64) {
+        if let Some(entry) = self.oob.get_mut(block_idx as usize) {
+            *entry = None;
+        }
     }
 
     /// Records a subpage invalidation in the cache metadata (incremental ISR
@@ -537,8 +575,9 @@ impl FtlCore {
         Err(FtlError::OutOfSpace { level })
     }
 
-    /// Programs `lsns` into `ppa` starting at subpage `start`, maintaining the
-    /// map, owner table, metadata and statistics, and recording the operation.
+    /// Programs `lsns` into `ppa` starting at subpage `start`, writing each
+    /// subpage's OOB tag and maintaining the map, metadata and statistics,
+    /// and recording the operation.
     ///
     /// Old locations of the LSNs are invalidated. `kind` distinguishes host
     /// programs from GC relocations for both timing and statistics.
@@ -574,29 +613,32 @@ impl FtlCore {
                     batch.push(self.chip_of(addr), kind, res.latency_ns);
 
                     // Durable OOB shadow: what a real FTL writes into the
-                    // page's spare area, read back at power-loss recovery.
-                    let (level, opened_seq) = self
-                        .meta
-                        .get(block_idx)
-                        .map(|m| (m.level, m.opened_seq()))
-                        .unwrap_or((BlockLevel::HighDensity, 0));
-                    let oob_slots = (self.geometry.pages_per_block_mlc
-                        * self.geometry.subpages_per_page())
-                        as usize;
+                    // page's spare area, read back by GC and at power-loss
+                    // recovery.
                     let spp = self.geometry.subpages_per_page();
-                    let oob = self.oob.entry(block_idx).or_insert_with(|| BlockOob {
-                        level,
-                        opened_seq,
-                        tags: vec![None; oob_slots],
-                    });
-                    let base = (ppa.page * spp + start as u32) as usize;
-                    for (i, &lsn) in lsns.iter().enumerate() {
-                        if let Some(slot) = oob.tags.get_mut(base + i) {
-                            *slot = Some(SubTag {
-                                lsn,
-                                written_ns: now.max(1),
-                                follow_up,
-                            });
+                    let oob_slots = (self.geometry.pages_per_block_mlc * spp) as usize;
+                    let meta = &self.meta;
+                    if let Some(entry) = self.oob.get_mut(block_idx as usize) {
+                        let oob = entry.get_or_insert_with(|| {
+                            let (level, opened_seq) = meta
+                                .get(block_idx)
+                                .map(|m| (m.level, m.opened_seq()))
+                                .unwrap_or((BlockLevel::HighDensity, 0));
+                            BlockOob {
+                                level,
+                                opened_seq,
+                                tags: vec![None; oob_slots],
+                            }
+                        });
+                        let base = (ppa.page * spp + start as u32) as usize;
+                        for (i, &lsn) in lsns.iter().enumerate() {
+                            if let Some(slot) = oob.tags.get_mut(base + i) {
+                                *slot = Some(SubTag {
+                                    lsn,
+                                    written_ns: now.max(1),
+                                    follow_up,
+                                });
+                            }
                         }
                     }
 
@@ -613,10 +655,8 @@ impl FtlCore {
                             // than tearing the process down.
                             dev.invalidate(old)?;
                             let old_idx = self.block_idx(old.ppa.block_addr());
-                            self.owners.clear(old_idx, old);
                             self.note_invalidated(old_idx, old);
                         }
-                        self.owners.set(block_idx, spa, lsn);
                     }
 
                     if let Some(meta) = self.meta.get_mut(block_idx) {
@@ -690,7 +730,6 @@ impl FtlCore {
                 for &(s, lsn) in group.subs() {
                     let spa = Spa::new(addr.page(group.page), s);
                     self.map.remove(lsn);
-                    self.owners.clear(block_idx, spa);
                     if dev.invalidate(spa).is_ok() {
                         self.note_invalidated(block_idx, spa);
                     }
@@ -700,8 +739,7 @@ impl FtlCore {
         }
         self.meta.close_block(block_idx);
         self.victim_index.remove(block_idx);
-        self.oob.remove(&block_idx);
-        self.owners.clear_block(block_idx);
+        self.drop_oob(block_idx);
         self.blocks.retire(addr);
     }
 
@@ -937,18 +975,18 @@ impl FtlCore {
         let Some(meta) = self.meta.get(block_idx) else {
             return; // untracked block has no cache-resident data to move
         };
+        let oob = self.block_oob(block_idx);
+        let spp = self.geometry.subpages_per_page() as usize;
         for p in 0..block.page_count() {
             let page = block.page(p);
             let mut subs = [(0u8, 0 as Lsn); MAX_SUBPAGES_PER_PAGE];
             let mut subs_len = 0u8;
             for s in 0..page.subpage_count() {
                 if page.subpage(s) == SubpageState::Valid {
-                    let spa = Spa::new(meta.addr.page(p), s);
-                    let lsn = self
-                        .owners
-                        .owner(block_idx, spa)
-                        // ipu-lint: allow(panic-reachability) — owner/map agreement is the core FTL invariant (cross-checked by check_invariants); a valid subpage without an owner is unrecoverable corruption
-                        .expect("valid subpage must have an owner");
+                    let lsn = oob
+                        .and_then(|o| o.lsn_at(p as usize * spp + s as usize))
+                        // ipu-lint: allow(panic-reachability) — every program writes its subpages' OOB tags and only erase or retirement drops them, so a valid subpage without a tag is unrecoverable corruption (cross-checked by check_invariants)
+                        .expect("valid subpage must have an OOB tag");
                     subs[subs_len as usize] = (s, lsn);
                     subs_len += 1;
                 }
@@ -1103,8 +1141,7 @@ impl FtlCore {
         } else {
             CellMode::Mlc
         };
-        self.owners.clear_block(block_idx);
-        self.oob.remove(&block_idx);
+        self.drop_oob(block_idx);
         let chip = self.chip_of(addr);
         match dev.try_erase(addr, mode) {
             Ok(res) => {
@@ -1183,7 +1220,9 @@ impl FtlCore {
     ///
     /// Checked invariants:
     /// 1. every mapped LSN points at a physically *valid* subpage,
-    /// 2. the owner table agrees with the forward map in both directions,
+    /// 2. the OOB tags agree with the forward map in both directions: each
+    ///    mapped LSN's subpage is tagged with that LSN, and each valid
+    ///    subpage's tag names an LSN the map sends back to it,
     /// 3. every valid subpage on the device is owned by a mapped LSN,
     /// 4. per-block subpage accounting conserves (free + valid + invalid),
     /// 5. the device's cached per-block counters agree with a recount,
@@ -1210,11 +1249,11 @@ impl FtlCore {
             if self.bad_blocks.contains(&bi) {
                 return Err(format!("lsn {lsn} maps into retired block {bi} at {spa}"));
             }
-            match self.owners.owner(bi, spa) {
+            match self.owner(dev, bi, spa) {
                 Some(owner) if owner == lsn => {}
                 other => {
                     return Err(format!(
-                        "owner table says {other:?} for {spa}, map says lsn {lsn}"
+                        "OOB tag names lsn {other:?} at {spa}, map says lsn {lsn}"
                     ))
                 }
             }
@@ -1239,8 +1278,8 @@ impl FtlCore {
                         device_valid += 1;
                         let addr = self.geometry.block_from_index(i);
                         let spa = Spa::new(addr.page(p), sub);
-                        let Some(owner) = self.owners.owner(i, spa) else {
-                            return Err(format!("valid subpage {spa} has no owner"));
+                        let Some(owner) = self.owner(dev, i, spa) else {
+                            return Err(format!("valid subpage {spa} has no OOB tag"));
                         };
                         if self.map.lookup(owner) != Some(spa) {
                             return Err(format!(
@@ -1362,10 +1401,11 @@ impl FtlCore {
     }
 
     /// Rebuilds all volatile FTL state from durable flash contents after a
-    /// power loss: the mapping table, owner table and cache metadata are
-    /// reconstructed from the per-block OOB shadow (level, open order, and
-    /// per-subpage LSN tags), and the free pools are re-derived from which
-    /// blocks hold data. The bad-block table is durable and survives as-is.
+    /// power loss: the mapping table and cache metadata are reconstructed
+    /// from the per-block OOB shadow (level, open order, and per-subpage LSN
+    /// tags), and the free pools are re-derived from which blocks hold data.
+    /// The OOB shadow and the bad-block table are durable and survive as-is;
+    /// the tags go on naming the owners of the valid subpages.
     ///
     /// Divergences from the pre-cut state, by design: active blocks are
     /// closed (their remaining free pages are not resumed — a real FTL
@@ -1373,7 +1413,6 @@ impl FtlCore {
     /// device already erased them), and GC/wear-leveling pacing restarts.
     pub fn rebuild_from_flash(&mut self, dev: &FlashDevice) {
         self.map = MappingTable::new();
-        self.owners = OwnerTable::new(&self.geometry);
         self.meta = CacheMeta::with_blocks(self.geometry.total_blocks());
         self.actives = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
         self.rr = [0; 4];
@@ -1384,12 +1423,18 @@ impl FtlCore {
 
         // Replay OOB records in open order so ISR GC's FIFO tie-breaking is
         // preserved across the power cycle.
-        let oob = std::mem::take(&mut self.oob);
-        let mut entries: Vec<(u64, BlockOob)> = oob.into_iter().collect();
-        entries.sort_by_key(|&(idx, ref b)| (b.opened_seq, idx));
+        let mut order: Vec<(u64, u64)> = self
+            .oob
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, b)| b.as_ref().map(|b| (b.opened_seq, idx as u64)))
+            .collect();
+        order.sort_unstable();
         let mut max_seq: Option<u64> = None;
-        for (idx, blk) in &entries {
-            let idx = *idx;
+        for &(_, idx) in &order {
+            let Some(blk) = self.oob.get(idx as usize).and_then(Option::as_ref) else {
+                continue;
+            };
             let addr = self.geometry.block_from_index(idx);
             let block = dev.block_by_index(idx);
             let meta = self.meta.restore_block(
@@ -1407,14 +1452,11 @@ impl FtlCore {
                 // Only *valid* subpages re-enter the map: the OOB tag of a
                 // superseded subpage is stale by definition.
                 if block.page(page).subpage(sub) == SubpageState::Valid {
-                    let spa = Spa::new(addr.page(page), sub);
-                    self.map.insert(tag.lsn, spa);
-                    self.owners.set(idx, spa, tag.lsn);
+                    self.map.insert(tag.lsn, Spa::new(addr.page(page), sub));
                 }
             }
         }
         self.meta.set_next_seq(max_seq.map_or(0, |m| m + 1));
-        self.oob = entries.into_iter().collect();
 
         // Replay restored every OOB tag as a program, including superseded
         // subpages: reconcile the metadata's validity aggregates with the
@@ -1441,6 +1483,18 @@ impl FtlCore {
             }
         }
         self.blocks.rebuild_free(&self.bad_blocks, &in_use);
+    }
+}
+
+#[cfg(test)]
+impl FtlCore {
+    /// Rewrites the LSN in the OOB tag of page-major slot `slot` of block
+    /// `block_idx`, so tests can check that `check_invariants` notices.
+    pub(crate) fn skew_oob_lsn(&mut self, block_idx: u64, slot: usize, lsn: Lsn) {
+        let tag = self.oob[block_idx as usize].as_mut().unwrap().tags[slot]
+            .as_mut()
+            .unwrap();
+        tag.lsn = lsn;
     }
 }
 
@@ -1566,7 +1620,7 @@ mod tests {
         assert_eq!(core.map.lookup(10), Some(Spa::new(ppa, 0)));
         assert_eq!(core.map.lookup(11), Some(Spa::new(ppa, 1)));
         let bi = core.block_idx(ppa.block_addr());
-        assert_eq!(core.owners.owner(bi, Spa::new(ppa, 0)), Some(10));
+        assert_eq!(core.owner(&dev, bi, Spa::new(ppa, 0)), Some(10));
         assert_eq!(core.stats.host_subpages_to_slc, 2);
         assert_eq!(batch.ops.len(), 1);
         assert_eq!(batch.ops[0].kind, FlashOpKind::HostProgram);
@@ -1584,7 +1638,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(core.map.lookup(10), Some(Spa::new(ppa2, 0)));
-        assert!(core.owners.owner(bi, Spa::new(ppa, 0)).is_none());
+        assert!(core.owner(&dev, bi, Spa::new(ppa, 0)).is_none());
         assert_eq!(
             dev.block(ppa.block_addr()).page(ppa.page).subpage(0),
             SubpageState::Invalid
@@ -1648,6 +1702,16 @@ mod tests {
             err.contains("2 blocks flagged active, 1 in active rings"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn invariants_catch_an_oob_tag_that_names_another_lsn() {
+        let (mut core, dev, idx) = core_with_one_write();
+        // LSN 1 sits at page 0, subpage 1; its tag now claims LSN 99.
+        core.skew_oob_lsn(idx, 1, 99);
+        let err = core.check_invariants(&dev).unwrap_err();
+        assert!(err.contains("OOB tag names lsn Some(99)"), "{err}");
+        assert!(err.contains("map says lsn 1"), "{err}");
     }
 
     #[test]

@@ -84,9 +84,9 @@ pub trait FtlScheme {
     }
 
     /// Simulates a sudden power loss and recovery: every volatile structure
-    /// (mapping table, owner table, cache metadata, open blocks, scheme-local
-    /// packing state) is dropped and rebuilt from durable flash contents —
-    /// the per-page OOB records and the bad-block table. Statistics survive
+    /// (mapping table, cache metadata, open blocks, scheme-local packing
+    /// state) is dropped and rebuilt from durable flash contents — the
+    /// per-page OOB records and the bad-block table. Statistics survive
     /// (they model host-side observability, not drive RAM).
     fn power_cycle(&mut self, dev: &FlashDevice);
 
@@ -815,7 +815,7 @@ mod mga {
                 let lsn = slot * 16;
                 let spa = ftl.core.map.lookup(lsn).expect("mapping lost");
                 let bi = ftl.core.block_idx(spa.ppa.block_addr());
-                assert_eq!(ftl.core.owners.owner(bi, spa), Some(lsn), "owner drift");
+                assert_eq!(ftl.core.owner(&dev, bi, spa), Some(lsn), "owner drift");
             }
             // Packing keeps GC'd blocks nearly full (Fig. 9: MGA ≈ 99.9%).
             let util = ftl.stats().gc_page_utilization();

@@ -1,8 +1,8 @@
-//! Property-based tests for the mapping layer in isolation: forward map /
-//! owner table algebra and the chunk-summary used by the Figure 11 model.
+//! Property-based tests for the mapping layer in isolation: forward map
+//! algebra and the chunk-summary used by the Figure 11 model.
 
-use ipu_flash::{FlashGeometry, Ppa, Spa};
-use ipu_ftl::{MappingTable, OwnerTable};
+use ipu_flash::{Ppa, Spa};
+use ipu_ftl::MappingTable;
 use proptest::prelude::*;
 
 fn arb_spa() -> impl Strategy<Value = Spa> {
@@ -56,39 +56,5 @@ proptest! {
         let new_off = (perturb + 1) % 4;
         map.insert(perturb as u64, Spa::new(ppa, new_off));
         prop_assert_eq!(map.chunk_summary(4).scattered_chunks, 1);
-    }
-
-    /// Owner-table set/clear algebra matches a model, and clear_block drops
-    /// exactly that block's entries.
-    #[test]
-    fn owner_table_matches_model(
-        ops in proptest::collection::vec((arb_spa(), 0u64..64, any::<bool>()), 1..200),
-        cleared_block in 0u32..16,
-    ) {
-        let g = FlashGeometry::small_for_tests();
-        let mut owners = OwnerTable::new(&g);
-        let mut model: std::collections::HashMap<(u64, Spa), u64> =
-            std::collections::HashMap::new();
-        for (spa, lsn, set) in ops {
-            let bi = g.block_index(spa.ppa.block_addr());
-            if set {
-                owners.set(bi, spa, lsn);
-                model.insert((bi, spa), lsn);
-            } else {
-                owners.clear(bi, spa);
-                model.remove(&(bi, spa));
-            }
-            prop_assert_eq!(owners.owner(bi, spa), model.get(&(bi, spa)).copied());
-        }
-        // clear_block removes all owners of that block and nothing else.
-        let cleared_idx =
-            g.block_index(ipu_flash::BlockAddr::new(0, 0, 0, 0, cleared_block));
-        owners.clear_block(cleared_idx);
-        model.retain(|&(bi, _), _| bi != cleared_idx);
-        for (&(bi, spa), &lsn) in &model {
-            prop_assert_eq!(owners.owner(bi, spa), Some(lsn));
-        }
-        let probe = Spa::new(Ppa::new(0, 0, 0, 0, cleared_block, 0), 0);
-        prop_assert_eq!(owners.owner(cleared_idx, probe), None);
     }
 }

@@ -1,7 +1,8 @@
 //! Property-based tests over all four FTL schemes: under arbitrary
 //! write/read workloads (with heavy cache pressure and GC), every scheme must
-//! preserve read-your-writes mapping consistency, forward/reverse map
-//! agreement, and physical/logical accounting.
+//! preserve read-your-writes mapping consistency, agreement between the
+//! forward map and the OOB tags that name each valid subpage's owner, and
+//! physical/logical accounting, after every operation.
 
 use ipu_flash::{DeviceConfig, FlashDevice, SubpageState};
 use ipu_ftl::{FtlConfig, SchemeKind};
@@ -62,8 +63,8 @@ fn check_scheme(kind: SchemeKind, ops: &[Op]) -> Result<(), TestCaseError> {
             prop_assert!(rec.latency_ns > 0, "zero-latency op");
         }
 
-        // Invariant 1: every shadow LSN resolves, and the forward and reverse
-        // maps agree.
+        // Invariant 1: every shadow LSN resolves, and the OOB tag of its
+        // subpage names it.
         let core = ftl.core();
         for &lsn in shadow.keys() {
             let spa = core.map.lookup(lsn);
@@ -71,9 +72,9 @@ fn check_scheme(kind: SchemeKind, ops: &[Op]) -> Result<(), TestCaseError> {
             let spa = spa.unwrap();
             let bi = core.block_idx(spa.ppa.block_addr());
             prop_assert_eq!(
-                core.owners.owner(bi, spa),
+                core.owner(&dev, bi, spa),
                 Some(lsn),
-                "{:?}: owner table disagrees for lsn {}",
+                "{:?}: OOB owner disagrees for lsn {}",
                 kind,
                 lsn
             );
@@ -105,6 +106,12 @@ fn check_scheme(kind: SchemeKind, ops: &[Op]) -> Result<(), TestCaseError> {
             device_valid,
             shadow.len()
         );
+
+        // Invariant 4: the core's own cross-check, which includes map ↔ OOB
+        // owner agreement in both directions.
+        if let Err(e) = core.check_invariants(&dev) {
+            return Err(TestCaseError::fail(format!("{kind:?}: after op {t}: {e}")));
+        }
     }
     Ok(())
 }

@@ -1,9 +1,10 @@
 //! Power-loss injection and recovery verification.
 //!
-//! Mid-replay, every volatile FTL structure (mapping table, owner table,
-//! cache metadata, open-block rings, scheme-local packing state) is dropped
-//! and rebuilt from durable flash contents — the per-page OOB records and the
-//! bad-block table ([`ipu_ftl::FtlScheme::power_cycle`]). The rebuilt state is
+//! Mid-replay, every volatile FTL structure (mapping table, cache metadata,
+//! open-block rings, scheme-local packing state) is dropped and rebuilt from
+//! durable flash contents — the per-page OOB records and the bad-block table
+//! ([`ipu_ftl::FtlScheme::power_cycle`]). A valid subpage's owner is the LSN
+//! in its OOB tag, so the owners compared below come from the tags. The rebuilt state is
 //! checked against a **golden oracle**: the durable view of the same FTL an
 //! instant before power was cut. Recovery is correct iff the two are
 //! identical and the core's structural invariants still hold.
@@ -38,7 +39,7 @@ pub struct BlockSnapshot {
 pub struct DurableSnapshot {
     /// LSN → `(block index, page, subpage)` of every mapped logical subpage.
     pub map: BTreeMap<Lsn, (u64, u32, u8)>,
-    /// Reverse owners of every device-valid subpage.
+    /// Owner (OOB tag LSN) of every device-valid subpage.
     pub owners: BTreeMap<(u64, u32, u8), Lsn>,
     /// In-use blocks holding at least one programmed subpage.
     pub blocks: BTreeMap<u64, BlockSnapshot>,
@@ -59,7 +60,7 @@ impl DurableSnapshot {
         }
         if self.owners != other.owners {
             return Some(format!(
-                "owner tables differ ({} vs {} valid subpages)",
+                "OOB owners differ ({} vs {} valid subpages)",
                 self.owners.len(),
                 other.owners.len()
             ));
@@ -116,7 +117,7 @@ pub fn durable_snapshot(core: &FtlCore, dev: &FlashDevice) -> DurableSnapshot {
             for sub in 0..ps.subpage_count() {
                 if ps.subpage(sub) == ipu_flash::SubpageState::Valid {
                     let spa = Spa::new(addr.page(page), sub);
-                    if let Some(lsn) = core.owners.owner(idx, spa) {
+                    if let Some(lsn) = core.owner(dev, idx, spa) {
                         owners.insert((idx, page, sub), lsn);
                     }
                 }

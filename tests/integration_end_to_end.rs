@@ -140,7 +140,7 @@ fn device_state_matches_mapping_after_heavy_churn() {
             "lsn {lsn} stale"
         );
         let bi = core.block_idx(spa.ppa.block_addr());
-        assert_eq!(core.owners.owner(bi, spa), Some(lsn));
+        assert_eq!(core.owner(&dev, bi, spa), Some(lsn));
     }
     // The consolidated checker agrees.
     core.check_invariants(&dev)
