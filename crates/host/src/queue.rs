@@ -64,6 +64,11 @@ impl HostReport {
     }
 }
 
+/// A dispatched request in the completion heap: `(completion, tenant, seq,
+/// arrival, admit, dispatch)`. The first three are unique per request, so
+/// they alone decide the heap order; the times fill its outcome record.
+type Pending = (Nanos, usize, usize, Nanos, Nanos, Nanos);
+
 /// Per-tenant run state.
 struct TenantQueue {
     /// Sorted request arrival times; `next_arrival` indexes the first not yet
@@ -93,7 +98,7 @@ impl TenantQueue {
 /// dispatch times, so it may carry mutable device state).
 ///
 /// Returns the per-tenant report and the per-request outcome log in
-/// completion order.
+/// completion order: by `(completion, tenant, seq)`, which is unique.
 pub fn run_closed_loop(
     cfg: &HostConfig,
     arrivals: &[Vec<Nanos>],
@@ -134,11 +139,11 @@ pub fn run_closed_loop(
         .collect();
     let mut arbiter = Arbiter::new(cfg.arbitration, &cfg.tenants);
 
-    // Pending completions, min-heap by time (tenant, seq carried for slot
-    // release). `Reverse` flips `BinaryHeap`'s max ordering.
+    // Pending completions, min-heap by (completion, tenant, seq). `Reverse`
+    // flips `BinaryHeap`'s max ordering.
     use std::cmp::Reverse;
-    let mut completions: BinaryHeap<Reverse<(Nanos, usize, usize)>> = BinaryHeap::new();
-    let mut outcomes: Vec<RequestOutcome> = Vec::new();
+    let mut completions: BinaryHeap<Reverse<Pending>> = BinaryHeap::new();
+    let mut outcomes: Vec<RequestOutcome> = Vec::with_capacity(arrivals.iter().map(Vec::len).sum());
     let mut dispatcher_free: Nanos = 0;
     let mut now: Nanos = 0;
     let mut ready = vec![false; queues.len()];
@@ -148,15 +153,28 @@ pub fn run_closed_loop(
         // order: completions free slots → admissions fill them → the
         // dispatcher drains submitted work. Dispatching may produce another
         // same-instant completion, so iterate to a fixpoint.
+        let instant_start = outcomes.len();
         loop {
             let mut progressed = false;
 
-            while let Some(&Reverse((t_done, tenant, _seq))) = completions.peek() {
+            // Every completion popped here is at `now` (each completion time
+            // is visited as an instant), in (tenant, seq) order within a pass.
+            while let Some(&Reverse((t_done, tenant, seq, arrival, admit, dispatch))) =
+                completions.peek()
+            {
                 if t_done > now {
                     break;
                 }
                 completions.pop();
                 queues[tenant].inflight -= 1;
+                outcomes.push(RequestOutcome {
+                    tenant,
+                    seq,
+                    arrival_ns: arrival,
+                    admit_ns: admit,
+                    dispatch_ns: dispatch,
+                    completion_ns: t_done,
+                });
                 progressed = true;
             }
 
@@ -189,15 +207,7 @@ pub fn run_closed_loop(
                 queues[t].inflight += 1;
                 let completion = service(t, seq, now);
                 assert!(completion >= now, "device completed before dispatch");
-                completions.push(Reverse((completion, t, seq)));
-                outcomes.push(RequestOutcome {
-                    tenant: t,
-                    seq,
-                    arrival_ns: arrival,
-                    admit_ns: admit,
-                    dispatch_ns: now,
-                    completion_ns: completion,
-                });
+                completions.push(Reverse((completion, t, seq, arrival, admit, now)));
                 let m = &mut queues[t].metrics;
                 m.completed += 1;
                 m.service_latency.record(completion - admit);
@@ -214,9 +224,14 @@ pub fn run_closed_loop(
                 break;
             }
         }
+        // A service that completes at its own dispatch instant pops in a
+        // later pass than earlier same-instant completions, possibly after a
+        // larger (tenant, seq). Sorting this instant's few records keeps the
+        // whole log in (completion, tenant, seq) order.
+        outcomes[instant_start..].sort_unstable_by_key(|o| (o.tenant, o.seq));
 
         // Next instant anything can happen.
-        let mut next: Option<Nanos> = completions.peek().map(|&Reverse((t, _, _))| t);
+        let mut next: Option<Nanos> = completions.peek().map(|&Reverse((t, ..))| t);
         for q in &queues {
             if q.next_arrival < q.arrivals.len() && q.occupancy() < depth {
                 let t = q.arrivals[q.next_arrival];
@@ -241,10 +256,6 @@ pub fn run_closed_loop(
         }
         now = next;
     }
-
-    // Completion order is what a host observes on the CQ; the dispatch-order
-    // log sorts stably by (completion, tenant, seq).
-    outcomes.sort_by_key(|o| (o.completion_ns, o.tenant, o.seq));
 
     let tenants: Vec<TenantMetrics> = queues.into_iter().map(|q| q.metrics).collect();
     let report = HostReport {

@@ -9,6 +9,9 @@
 //! * strict priority starves the low class — no bulk request dispatches
 //!   before the urgent class has drained, so fairness collapses (while every
 //!   request still completes: starvation delays, it never drops).
+//!
+//! A third property holds for any load: the outcome log is the dispatch-order
+//! log sorted by `(completion, tenant, seq)`.
 
 use ipu_host::{run_closed_loop, ArbitrationPolicy, HostConfig, TenantSpec};
 use proptest::prelude::*;
@@ -76,5 +79,59 @@ proptest! {
         );
         // Starvation delays the low class; it must not drop it.
         prop_assert_eq!(report.total_completed(), 2 * m as u64);
+    }
+
+    /// The engine writes the outcome log as completions pop, without sorting
+    /// it: it must equal the log the device callback sees in dispatch order,
+    /// sorted by `(completion, tenant, seq)`. Arrivals on a 10 ns grid and
+    /// service times of 0–30 ns make many completions share an instant,
+    /// including zero-time services that complete at their own dispatch.
+    #[test]
+    fn outcome_log_is_the_dispatch_log_in_completion_order(
+        streams in proptest::collection::vec(
+            proptest::collection::vec((0u64..8, 0u64..4), 1..25),
+            1..=4,
+        ),
+        qd in 1usize..=6,
+        policy in prop_oneof![
+            Just(ArbitrationPolicy::RoundRobin),
+            Just(ArbitrationPolicy::WeightedRoundRobin),
+            Just(ArbitrationPolicy::StrictPriority)
+        ],
+        overhead in prop_oneof![Just(0u64), Just(5u64), Just(10u64)],
+    ) {
+        let tenants = (0..streams.len())
+            .map(|i| {
+                TenantSpec::new(format!("t{i}"))
+                    .with_weight(i as u32 + 1)
+                    .with_priority(i as u32 % 2)
+            })
+            .collect();
+        let cfg = HostConfig::new(qd, policy, tenants).with_dispatch_overhead(overhead);
+        let arrivals: Vec<Vec<u64>> = streams
+            .iter()
+            .map(|s| {
+                let mut a: Vec<u64> = s.iter().map(|&(slot, _)| slot * 10).collect();
+                a.sort_unstable();
+                a
+            })
+            .collect();
+        let mut dispatched = Vec::new();
+        let (report, outcomes) = run_closed_loop(&cfg, &arrivals, |t, seq, dispatch| {
+            let completion = dispatch + streams[t][seq].1 * 10;
+            dispatched.push((completion, t, seq, dispatch));
+            completion
+        });
+        dispatched.sort_unstable();
+        let logged: Vec<_> = outcomes
+            .iter()
+            .map(|o| (o.completion_ns, o.tenant, o.seq, o.dispatch_ns))
+            .collect();
+        prop_assert_eq!(logged, dispatched);
+        prop_assert_eq!(outcomes.len() as u64, report.total_completed());
+        for o in &outcomes {
+            prop_assert_eq!(o.arrival_ns, arrivals[o.tenant][o.seq]);
+            prop_assert!(o.arrival_ns <= o.admit_ns && o.admit_ns <= o.dispatch_ns);
+        }
     }
 }
