@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use crate::config::DeviceConfig;
 use crate::geometry::{BlockAddr, Spa};
 use crate::mode::CellMode;
-use crate::state::{BlockState, SubpageState};
+use crate::state::{BlockState, SubpageState, MAX_SUBPAGES_PER_PAGE};
 use crate::time::Nanos;
 use crate::wear::WearTracker;
 
@@ -139,10 +139,63 @@ pub struct OpCounters {
     pub rber_spikes: u64,
 }
 
+/// Latencies fixed by the device configuration, computed once when the
+/// device is built with the same [`crate::TimingConfig`] expressions
+/// `program` and `read_scaled` charge, so the hot paths skip the float
+/// rounding of `ms_to_ns`.
+#[derive(Debug, Clone)]
+struct FixedLatencies {
+    slc_read_ns: Nanos,
+    mlc_read_ns: Nanos,
+    slc_program_ns: Nanos,
+    mlc_program_ns: Nanos,
+    /// Channel transfer time of `n` subpages, at index `n`.
+    transfer_ns: [Nanos; MAX_SUBPAGES_PER_PAGE + 1],
+}
+
+impl FixedLatencies {
+    fn new(cfg: &DeviceConfig) -> Self {
+        let t = &cfg.timing;
+        let subpage_size = cfg.geometry.subpage_size;
+        FixedLatencies {
+            slc_read_ns: t.read_ns(CellMode::Slc),
+            mlc_read_ns: t.read_ns(CellMode::Mlc),
+            slc_program_ns: t.program_ns(CellMode::Slc),
+            mlc_program_ns: t.program_ns(CellMode::Mlc),
+            transfer_ns: std::array::from_fn(|n| t.transfer_ns(n as u32 * subpage_size)),
+        }
+    }
+
+    #[inline]
+    fn read_ns(&self, mode: CellMode) -> Nanos {
+        match mode {
+            CellMode::Slc => self.slc_read_ns,
+            CellMode::Mlc => self.mlc_read_ns,
+        }
+    }
+
+    #[inline]
+    fn program_ns(&self, mode: CellMode) -> Nanos {
+        match mode {
+            CellMode::Slc => self.slc_program_ns,
+            CellMode::Mlc => self.mlc_program_ns,
+        }
+    }
+
+    /// Transfer time of `count` subpages; callers have checked `count`
+    /// against the page's subpage count, which is at most
+    /// `MAX_SUBPAGES_PER_PAGE`.
+    #[inline]
+    fn transfer_ns(&self, count: u8) -> Nanos {
+        self.transfer_ns[count as usize]
+    }
+}
+
 /// A NAND flash device.
 #[derive(Debug, Clone)]
 pub struct FlashDevice {
     cfg: DeviceConfig,
+    latency: FixedLatencies,
     blocks: Vec<BlockState>,
     wear: WearTracker,
     counters: OpCounters,
@@ -163,6 +216,7 @@ impl FlashDevice {
         let blocks = vec![erased; g.total_blocks() as usize];
         let wear = WearTracker::new(g.total_blocks(), cfg.initial_pe_cycles);
         FlashDevice {
+            latency: FixedLatencies::new(&cfg),
             cfg,
             blocks,
             wear,
@@ -255,9 +309,7 @@ impl FlashDevice {
                 .fault
                 .program_fails(self.counters.programs, die, idx as u64, addr_key)
             {
-                let bytes = count as u32 * g.subpage_size;
-                let latency_ns =
-                    self.cfg.timing.transfer_ns(bytes) + self.cfg.timing.program_ns(mode);
+                let latency_ns = self.latency.transfer_ns(count) + self.latency.program_ns(mode);
                 self.counters.programs += 1;
                 self.counters.program_failures += 1;
                 return Err(FlashError::ProgramFailed { spa, latency_ns });
@@ -283,8 +335,7 @@ impl FlashDevice {
                 .apply_neighbour_disturb();
         }
 
-        let bytes = count as u32 * g.subpage_size;
-        let latency_ns = self.cfg.timing.transfer_ns(bytes) + self.cfg.timing.program_ns(mode);
+        let latency_ns = self.latency.transfer_ns(count) + self.latency.program_ns(mode);
 
         self.counters.programs += 1;
         self.counters.subpages_programmed += count as u64;
@@ -393,7 +444,7 @@ impl FlashDevice {
         let realized = self.cfg.error_mode.realize(expected, stream);
         let ecc = self.cfg.ecc.decode_with_errors(bytes, realized);
         let latency_ns =
-            self.cfg.timing.read_ns(mode) + self.cfg.timing.transfer_ns(bytes) + ecc.latency_ns;
+            self.latency.read_ns(mode) + self.latency.transfer_ns(count) + ecc.latency_ns;
 
         let uncorrectable = ecc.uncorrectable || injected_fail;
         self.counters.reads += 1;
