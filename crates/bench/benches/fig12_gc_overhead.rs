@@ -9,10 +9,11 @@
 //! `IPU_BENCH_SCALE` of the paper's device and request count) until the first
 //! SLC GC round has run, so the SLC region holds the valid/invalid mix and
 //! update history a real workload leaves. On that state it times the two
-//! selectors production calls: the indexed greedy pick and the
-//! Jensen-bounded ISR pick. The full-scan ISR oracle the property tests
-//! compare against is timed as a labelled reference and must pick the same
-//! victim.
+//! selectors production calls, which both walk the same list of in-use SLC
+//! blocks: the greedy pick, which reads each block's invalid-subpage count,
+//! and the Jensen-bounded ISR pick. Their ratio is the paper's relative
+//! figure. The full-scan ISR oracle the property tests compare against is
+//! timed as a labelled reference and must pick the same victim.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ipu_bench::bench_config;
@@ -62,13 +63,18 @@ fn gc_selection(c: &mut Criterion) {
     assert_eq!(
         isr,
         ftl.core().oracle_slc_victim_isr(&dev, now),
-        "indexed ISR pick must match the full-scan oracle"
+        "Jensen-bounded ISR pick must match the full-scan oracle"
+    );
+    assert_eq!(
+        ftl.core().select_slc_victim_greedy(&dev),
+        ftl.core().oracle_slc_victim_greedy(&dev),
+        "greedy pick must match the full-scan oracle"
     );
 
     let mut group = c.benchmark_group("fig12_gc_victim_selection");
     group.sample_size(20);
     group.bench_function("baseline_greedy", |b| {
-        b.iter(|| criterion::black_box(ftl.core().select_slc_victim_greedy()))
+        b.iter(|| criterion::black_box(ftl.core().select_slc_victim_greedy(&dev)))
     });
     group.bench_function("ipu_isr", |b| {
         b.iter(|| criterion::black_box(ftl.core_mut().select_slc_victim_isr(&dev, now)))
@@ -78,13 +84,13 @@ fn gc_selection(c: &mut Criterion) {
     });
     group.finish();
 
-    // Print the Figure 12 comparison explicitly. The indexed greedy pick is
-    // a bucket lookup, so the ISR pick's extra cost is reported in absolute
-    // time rather than as a ratio of the two.
-    let greedy = mean_time(100_000, || {
-        std::hint::black_box(ftl.core().select_slc_victim_greedy());
+    // Print the Figure 12 comparison explicitly. Both picks scan the same
+    // blocks, so ISR's extra cost is also given as the paper gives it, a
+    // ratio to greedy.
+    let greedy = mean_time(20_000, || {
+        std::hint::black_box(ftl.core().select_slc_victim_greedy(&dev));
     });
-    let isr = mean_time(200, || {
+    let isr = mean_time(2_000, || {
         std::hint::black_box(ftl.core_mut().select_slc_victim_isr(&dev, now));
     });
     let oracle = mean_time(20, || {
@@ -94,11 +100,13 @@ fn gc_selection(c: &mut Criterion) {
         "Figure 12 — GC victim-selection compute overhead \
          (ts0 at scale {scale}, {slc_blocks} SLC blocks, state after the first SLC GC round)"
     );
-    println!("  Baseline greedy (indexed)       : {greedy:?} per selection");
+    println!("  Baseline greedy (scan)          : {greedy:?} per selection");
     println!("  IPU ISR (Jensen-bounded)        : {isr:?} per selection");
     println!(
-        "  ISR extra cost                  : {:?} per selection  (paper: +1.2%, both < 2.48 ms)",
-        isr.saturating_sub(greedy)
+        "  ISR extra cost                  : {:?} per selection, {:+.1}% of greedy  \
+         (paper: +1.2%, both < 2.48 ms)",
+        isr.saturating_sub(greedy),
+        (isr.as_secs_f64() / greedy.as_secs_f64() - 1.0) * 100.0
     );
     println!("  reference: ISR full-scan oracle : {oracle:?} per selection (same victim)");
 }

@@ -14,8 +14,13 @@ use crate::types::BlockLevel;
 #[derive(Debug, Clone)]
 pub struct BlockMeta {
     pub addr: BlockAddr,
-    /// Cache level; `HighDensity` for MLC-region blocks.
-    pub level: BlockLevel,
+    /// Cache level; `HighDensity` for MLC-region blocks. Fixed while the
+    /// block is in use: it decides whether the block is in `CacheMeta`'s SLC
+    /// list.
+    level: BlockLevel,
+    /// Position of this block's entry in `CacheMeta`'s SLC list (SLC blocks
+    /// only), so closing the block removes the entry in O(1).
+    slc_pos: u32,
     /// Monotonic open order; GC victim selection breaks score ties toward
     /// the oldest block (FIFO) so eviction pressure rotates over the region
     /// instead of hammering one plane.
@@ -66,6 +71,7 @@ impl BlockMeta {
         BlockMeta {
             addr,
             level,
+            slc_pos: 0,
             opened_seq,
             sub_written_ns: vec![0; slots],
             page_updated: vec![false; pages as usize],
@@ -110,6 +116,12 @@ impl BlockMeta {
             }
             self.cold_mask[start / 64] &= !(span << (start % 64));
         }
+    }
+
+    /// Cache level; `HighDensity` for MLC-region blocks.
+    #[inline]
+    pub fn level(&self) -> BlockLevel {
+        self.level
     }
 
     /// Monotonic open order of this block (smaller = opened earlier).
@@ -324,12 +336,18 @@ impl BlockMeta {
 /// bounds-checked load. The FTL core sizes it to the device's block count up
 /// front; a table built with [`CacheMeta::new`] grows to the largest index
 /// opened. Iteration is in ascending index order.
+///
+/// Beside the table it keeps the SLC list: one `(opened_seq, block index)`
+/// entry per in-use SLC block, in no particular order, which GC victim
+/// selection walks instead of the whole table.
 #[derive(Debug, Clone, Default)]
 pub struct CacheMeta {
     /// Dense block index → metadata (`None` = block not in use).
     slots: Vec<Option<BlockMeta>>,
     /// Number of occupied slots.
     len: usize,
+    /// `(opened_seq, block index)` of every in-use SLC block, unordered.
+    slc: Vec<(u64, u64)>,
     next_seq: u64,
 }
 
@@ -349,18 +367,26 @@ impl CacheMeta {
         }
     }
 
-    /// Installs `meta` at `block_idx`, returning the slot's metadata.
-    fn install(&mut self, block_idx: u64, meta: BlockMeta) -> &mut BlockMeta {
+    /// Installs `meta` at `block_idx`, adding an SLC block to the SLC list,
+    /// and returns the slot's metadata.
+    fn install(&mut self, block_idx: u64, mut meta: BlockMeta) -> &mut BlockMeta {
         let i = block_idx as usize;
         if self.slots.len() <= i {
             self.slots.resize_with(i + 1, || None);
         }
-        let slot = &mut self.slots[i];
-        debug_assert!(slot.is_none(), "block {} registered twice", meta.addr);
-        if slot.is_none() {
-            self.len += 1;
+        debug_assert!(
+            self.slots[i].is_none(),
+            "block {} registered twice",
+            meta.addr
+        );
+        // A second registration replaces the first whole, list entry included.
+        self.close_block(block_idx);
+        if meta.level.is_slc() {
+            meta.slc_pos = self.slc.len() as u32;
+            self.slc.push((meta.opened_seq, block_idx));
         }
-        slot.insert(meta)
+        self.len += 1;
+        self.slots[i].insert(meta)
     }
 
     /// Registers a freshly-opened block at `level`.
@@ -380,10 +406,21 @@ impl CacheMeta {
         );
     }
 
-    /// Removes a block's metadata (called at erase).
+    /// Removes a block's metadata (called at erase and retirement). An SLC
+    /// block's list entry is swap-removed, and the entry moved into its
+    /// place is re-pointed.
     pub fn close_block(&mut self, block_idx: u64) -> Option<BlockMeta> {
         let meta = self.slots.get_mut(block_idx as usize)?.take()?;
         self.len -= 1;
+        if meta.level.is_slc() {
+            let pos = meta.slc_pos as usize;
+            self.slc.swap_remove(pos);
+            if let Some(&(_, moved)) = self.slc.get(pos) {
+                if let Some(m) = self.get_mut(moved) {
+                    m.slc_pos = pos as u32;
+                }
+            }
+        }
         Some(meta)
     }
 
@@ -452,6 +489,42 @@ impl CacheMeta {
         self.slots.iter().filter(|m| m.is_some()).count()
     }
 
+    /// `(opened_seq, block index)` of every in-use SLC block, in no
+    /// particular order.
+    #[inline]
+    pub(crate) fn slc_entries(&self) -> &[(u64, u64)] {
+        &self.slc
+    }
+
+    /// Checks the SLC list against the table: each entry names an in-use
+    /// SLC block whose metadata stores that entry's position and open order,
+    /// and there are as many entries as in-use SLC blocks, so each such
+    /// block has exactly one. Used by the FTL invariant checker.
+    pub(crate) fn check_slc_list(&self) -> Result<(), String> {
+        for (pos, &(seq, idx)) in self.slc.iter().enumerate() {
+            let Some(m) = self.get(idx) else {
+                return Err(format!(
+                    "SLC list entry {pos} names block {idx}, which is not in use"
+                ));
+            };
+            if !m.level.is_slc() || m.slc_pos as usize != pos || m.opened_seq != seq {
+                return Err(format!(
+                    "SLC list entry {pos} names block {idx} opened at {seq}; its metadata \
+                     says level {:?}, entry {}, opened at {}",
+                    m.level, m.slc_pos, m.opened_seq
+                ));
+            }
+        }
+        let in_use = self.slc_blocks().count();
+        if in_use != self.slc.len() {
+            return Err(format!(
+                "SLC list holds {} entries, {in_use} SLC blocks in use",
+                self.slc.len()
+            ));
+        }
+        Ok(())
+    }
+
     /// In-use blocks in the SLC cache (level above `HighDensity`).
     pub fn slc_blocks(&self) -> impl Iterator<Item = (u64, &BlockMeta)> {
         self.iter().filter(|(_, m)| m.level.is_slc())
@@ -476,6 +549,11 @@ impl BlockMeta {
 impl CacheMeta {
     pub(crate) fn skew_len(&mut self) {
         self.len += 1;
+    }
+
+    /// Moves the open order in SLC list entry `pos` one later.
+    pub(crate) fn skew_slc_entry(&mut self, pos: usize) {
+        self.slc[pos].0 += 1;
     }
 }
 
@@ -614,6 +692,42 @@ mod tests {
         assert!(c.get(100).is_none() && c.close_block(100).is_none());
         c.skew_len();
         assert_ne!(c.len(), c.occupied_slots());
+    }
+
+    #[test]
+    fn slc_list_follows_opens_closes_and_restores() {
+        let mut c = CacheMeta::with_blocks(8);
+        let open = |c: &mut CacheMeta, idx: u32, level| {
+            c.open_block(idx as u64, BlockAddr::new(0, 0, 0, 0, idx), level, 4, 4)
+        };
+        open(&mut c, 1, BlockLevel::Work);
+        open(&mut c, 2, BlockLevel::HighDensity);
+        open(&mut c, 3, BlockLevel::Hot);
+        open(&mut c, 4, BlockLevel::Monitor);
+        // SLC opens append `(opened_seq, index)`; the MLC open adds nothing.
+        assert_eq!(c.slc_entries(), &[(0, 1), (2, 3), (3, 4)]);
+        assert_eq!(c.check_slc_list(), Ok(()));
+
+        // Closing the middle entry moves the last one into its place, and
+        // the moved block's stored position follows, so closing it next
+        // removes the right entry.
+        c.close_block(3);
+        assert_eq!(c.slc_entries(), &[(0, 1), (3, 4)]);
+        assert_eq!(c.check_slc_list(), Ok(()));
+        c.close_block(4);
+        assert_eq!(c.slc_entries(), &[(0, 1)]);
+        c.close_block(2);
+        assert_eq!(c.slc_entries(), &[(0, 1)]);
+        assert_eq!(c.check_slc_list(), Ok(()));
+
+        // A restored block joins with its original open order.
+        c.restore_block(6, BlockAddr::new(0, 0, 0, 0, 6), BlockLevel::Work, 41, 4, 4);
+        assert_eq!(c.slc_entries(), &[(0, 1), (41, 6)]);
+        assert_eq!(c.check_slc_list(), Ok(()));
+
+        c.skew_slc_entry(1);
+        let err = c.check_slc_list().unwrap_err();
+        assert!(err.contains("entry 1 names block 6 opened at 42"), "{err}");
     }
 
     #[test]

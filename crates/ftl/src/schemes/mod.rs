@@ -465,10 +465,10 @@ impl SchemeFtl {
         let victim = if in_place && self.core.cfg.ipu_use_isr_gc {
             self.core.select_slc_victim_isr(dev, now)
         } else {
-            self.core.select_slc_victim_greedy()
+            self.core.select_slc_victim_greedy(dev)
         };
         let Some((victim, addr, level)) =
-            victim.and_then(|v| self.core.meta.get(v).map(|m| (v, m.addr, m.level)))
+            victim.and_then(|v| self.core.meta.get(v).map(|m| (v, m.addr, m.level())))
         else {
             return;
         };

@@ -1,12 +1,15 @@
-//! Property tests pinning the indexed GC victim pickers to the retired
-//! linear-scan oracles, plus an allocation-discipline test for the
+//! Property tests pinning the production GC victim pickers to the
+//! full-scan oracles, plus an allocation-discipline test for the
 //! steady-state write path.
 //!
-//! The victim index ([`ipu_ftl`]'s bucketed priority index) and the
-//! incremental ISR evaluator must select *bit-identical* victims to the
-//! original full-scan implementations under every reachable device state —
-//! the schemes' counter fingerprints depend on it. Both oracles are retained
-//! in the core solely so these tests can compare against them.
+//! Both production pickers walk the cache metadata's list of in-use SLC
+//! blocks: greedy reads each block's invalid count from the device, and ISR
+//! prunes with the Jensen bound and scores with the incremental evaluator.
+//! They must select *bit-identical* victims to the oracles, which scan the
+//! whole metadata table in ascending index order and (for ISR) evaluate
+//! Equation 2 from scratch, under every reachable device state — the
+//! schemes' counter fingerprints depend on it. Both oracles are retained in
+//! the core solely so these tests can compare against them.
 
 use ipu_flash::{DeviceConfig, FlashDevice};
 use ipu_ftl::{FtlConfig, FtlScheme, SchemeKind};
@@ -49,7 +52,7 @@ fn drive(ftl: &mut Box<dyn FtlScheme>, dev: &mut FlashDevice, t: usize, op: &Op)
     }
 }
 
-/// After every op the indexed pickers must agree with the linear oracles —
+/// After every op the production pickers must agree with the oracles —
 /// including on `None` (no candidate) and on FIFO tie-breaks.
 fn check_picker_equivalence(kind: SchemeKind, ops: &[Op]) -> Result<(), TestCaseError> {
     let mut dev = FlashDevice::new(DeviceConfig::small_for_tests());
@@ -64,7 +67,7 @@ fn check_picker_equivalence(kind: SchemeKind, ops: &[Op]) -> Result<(), TestCase
         let now = (t as u64 + 1) * 1000;
 
         let greedy_oracle = ftl.core().oracle_slc_victim_greedy(&dev);
-        let greedy_indexed = ftl.core().select_slc_victim_greedy();
+        let greedy_indexed = ftl.core().select_slc_victim_greedy(&dev);
         prop_assert_eq!(
             greedy_indexed,
             greedy_oracle,

@@ -150,7 +150,7 @@ pub fn durable_snapshot(core: &FtlCore, dev: &FlashDevice) -> DurableSnapshot {
         blocks.insert(
             idx,
             BlockSnapshot {
-                level: meta.level,
+                level: meta.level(),
                 opened_seq: meta.opened_seq(),
                 written,
                 updated_pages,
