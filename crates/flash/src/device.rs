@@ -260,8 +260,8 @@ impl FlashDevice {
             block.is_pristine(),
             "set_block_mode requires a pristine block; erase {addr} instead"
         );
-        // Re-shape without charging an erase: the erase count carries over.
-        block.reformat(mode, g.pages_per_block(mode), g.subpages_per_page() as u8);
+        // Re-shape without charging an erase to the wear tracker.
+        block.erase(mode, g.pages_per_block(mode), g.subpages_per_page() as u8);
     }
 
     /// Programs `count` subpages starting at `spa` in one program operation.
@@ -319,7 +319,6 @@ impl FlashDevice {
         let in_page_disturbed = self.blocks[idx]
             .apply_program_at(spa.ppa.page, spa.subpage, count)
             .map_err(|_| FlashError::SubpageNotFree(spa))?;
-        self.blocks[idx].note_program();
 
         // Neighbour disturb on the adjacent word lines.
         let mut neighbour_disturbed = 0u16;
@@ -570,7 +569,8 @@ mod tests {
         let b = dev.block(addr);
         assert_eq!(b.mode(), CellMode::Slc);
         assert_eq!(b.page_count(), dev.config().geometry.pages_per_block_slc);
-        assert_eq!(b.erase_count(), 0);
+        let idx = dev.config().geometry.block_index(addr);
+        assert_eq!(dev.wear().block_erases(idx), (0, 0));
         assert_eq!(dev.wear().totals().slc_erases, 0);
     }
 
@@ -581,9 +581,9 @@ mod tests {
         dev.erase(addr, CellMode::Mlc);
         dev.erase(addr, CellMode::Mlc);
         dev.set_block_mode(addr, CellMode::Slc);
-        let b = dev.block(addr);
-        assert_eq!(b.erase_count(), 2);
-        assert_eq!(b.mode(), CellMode::Slc);
+        let idx = dev.config().geometry.block_index(addr);
+        assert_eq!(dev.wear().block_erases(idx), (0, 2));
+        assert_eq!(dev.block(addr).mode(), CellMode::Slc);
         assert_eq!(dev.wear().totals().mlc_erases, 2);
     }
 

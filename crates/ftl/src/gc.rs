@@ -1,7 +1,7 @@
 //! GC victim-selection policies.
 //!
 //! * [`select_greedy`] — the conventional greedy policy (paper §3.2): pick the
-//!   block with the most reclaimable space, at page or subpage granularity.
+//!   block with the most invalid subpages.
 //! * [`select_isr`] — the paper's policy (Equations 1–2): pick the block with
 //!   the largest *invalid subpage ratio*, where never-updated (cold) valid
 //!   subpages contribute an age-dependent weight so that cold blocks are
@@ -14,22 +14,10 @@ use ipu_flash::{BlockState, Nanos, SubpageState};
 
 use crate::cache_meta::BlockMeta;
 
-/// Granularity of the greedy policy's reclaimable-space count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GcGranularity {
-    /// Count fully-invalid pages (conventional page-mapped FTL).
-    Page,
-    /// Count invalid subpages (partial-programming aware, as MGA does).
-    Subpage,
-}
-
-/// Greedy score: number of reclaimable units in the block. O(1) — both
-/// granularities read counters cached at block level by `ipu-flash`.
-pub fn greedy_score(block: &BlockState, granularity: GcGranularity) -> u64 {
-    match granularity {
-        GcGranularity::Subpage => block.count_subpages(SubpageState::Invalid) as u64,
-        GcGranularity::Page => block.fully_invalid_pages() as u64,
-    }
+/// Greedy score: the block's invalid subpages (partial-programming aware,
+/// as MGA counts them). O(1): `ipu-flash` caches the count per block.
+pub fn greedy_score(block: &BlockState) -> u64 {
+    block.count_subpages(SubpageState::Invalid) as u64
 }
 
 /// Selects the candidate with the highest greedy score.
@@ -40,16 +28,9 @@ pub fn greedy_score(block: &BlockState, granularity: GcGranularity) -> u64 {
 /// hammering a single plane and gives plain cache-eviction semantics.
 pub fn select_greedy<'a>(
     candidates: impl Iterator<Item = (u64, &'a BlockState, u64)>,
-    granularity: GcGranularity,
 ) -> Option<u64> {
     candidates
-        .map(|(idx, block, seq)| {
-            (
-                greedy_score(block, granularity),
-                std::cmp::Reverse(seq),
-                idx,
-            )
-        })
+        .map(|(idx, block, seq)| (greedy_score(block), std::cmp::Reverse(seq), idx))
         .max()
         .map(|(_, _, idx)| idx)
 }
@@ -258,11 +239,9 @@ mod tests {
     fn greedy_subpage_counts_invalids() {
         let mut dev = FlashDevice::new(DeviceConfig::small_for_tests());
         let a = build_block(&mut dev, 0, &[(4, 2), (4, 0)]);
-        assert_eq!(greedy_score(dev.block(a), GcGranularity::Subpage), 2);
-        assert_eq!(greedy_score(dev.block(a), GcGranularity::Page), 0);
+        assert_eq!(greedy_score(dev.block(a)), 2);
         let b = build_block(&mut dev, 1, &[(4, 4), (2, 1)]);
-        assert_eq!(greedy_score(dev.block(b), GcGranularity::Subpage), 5);
-        assert_eq!(greedy_score(dev.block(b), GcGranularity::Page), 1);
+        assert_eq!(greedy_score(dev.block(b)), 5);
     }
 
     #[test]
@@ -275,7 +254,7 @@ mod tests {
             (g.block_index(a), dev.block(a), 0),
             (g.block_index(b), dev.block(b), 1),
         ];
-        let winner = select_greedy(cands.into_iter(), GcGranularity::Subpage).unwrap();
+        let winner = select_greedy(cands.into_iter()).unwrap();
         assert_eq!(winner, g.block_index(b));
     }
 
@@ -290,7 +269,7 @@ mod tests {
             (g.block_index(a), dev.block(a), 7),
             (g.block_index(b), dev.block(b), 3),
         ];
-        let winner = select_greedy(cands.into_iter(), GcGranularity::Subpage).unwrap();
+        let winner = select_greedy(cands.into_iter()).unwrap();
         assert_eq!(winner, g.block_index(b));
     }
 
@@ -300,10 +279,7 @@ mod tests {
         let a = build_block(&mut dev, 0, &[(4, 0)]);
         let g = dev.config().geometry.clone();
         // No invalid data anywhere: still returns a victim (pure eviction).
-        let winner = select_greedy(
-            vec![(g.block_index(a), dev.block(a), 0)].into_iter(),
-            GcGranularity::Subpage,
-        );
+        let winner = select_greedy(vec![(g.block_index(a), dev.block(a), 0)].into_iter());
         assert_eq!(winner, Some(g.block_index(a)));
     }
 
