@@ -23,6 +23,9 @@ pairs; a tie counts for neither side. This is the rule the benchmark
 pipeline applies to a claimed gain, turned around. CI's perf-gate job runs
 `--base <parent> --pairs 10 --seconds 3`; trials of that configuration on
 a planted slowdown and on an unmodified tree are recorded in CHANGES.md.
+Traced runs (`--trace 1`) report per-layer spans and carry no `wall_s`,
+so they get no timing verdict; their tables, the simulated-work check
+below and `--out` are as for untraced runs.
 
 Exits 1 if any workload regresses, if any run fails its checks (`correct`
 false or failed operations), or if, within a pair, any `sim_*` metric or
@@ -146,16 +149,32 @@ def timing_verdict(base, change):
 
 
 def workload_verdict(timing, mismatches, goldens_moved):
-    """The verdict line for one workload and whether it fails the gate."""
-    line = (f"{VERDICT_METRIC} higher in {timing['slower']}/{timing['pairs']} pairs, "
-            f"lower in {timing['faster']}/{timing['pairs']}, median {timing['delta']:+.1%}")
+    """The verdict line for one workload and whether it fails the gate.
+    `timing` is None for runs that carry no `VERDICT_METRIC`."""
+    if timing is None:
+        line = f"no timing verdict, the runs carry no {VERDICT_METRIC}"
+    else:
+        line = (f"{VERDICT_METRIC} higher in {timing['slower']}/{timing['pairs']} pairs, "
+                f"lower in {timing['faster']}/{timing['pairs']}, "
+                f"median {timing['delta']:+.1%}")
     if mismatches and goldens_moved:
         return f"{line}: not gated, the goldens changed and so did the simulated work", False
     if mismatches:
         return f"{line}: FAIL, the simulated work differs", True
-    if timing["regressed"]:
+    if timing is not None and timing["regressed"]:
         return f"{line}: REGRESSION", True
     return f"{line}: pass", False
+
+
+def judge(pairs, mismatches, goldens_moved):
+    """The timing verdict of one workload's pairs (None unless every run
+    carries `VERDICT_METRIC`; traced runs do not) and its verdict line."""
+    timing = None
+    if all(VERDICT_METRIC in run[0]["metrics"] for pair in pairs for run in pair):
+        timing = timing_verdict(
+            [b[0]["metrics"][VERDICT_METRIC]["value"] for b, _ in pairs],
+            [c[0]["metrics"][VERDICT_METRIC]["value"] for _, c in pairs])
+    return timing, workload_verdict(timing, mismatches, goldens_moved)
 
 
 def quartiles(values):
@@ -232,15 +251,12 @@ def main():
             print(f"  {workload} pair {k + 1}/{args.pairs} (seed {seed}) done",
                   file=sys.stderr, flush=True)
         rows = summarize(pairs)
-        timing = timing_verdict(
-            [b[0]["metrics"][VERDICT_METRIC]["value"] for b, _ in pairs],
-            [c[0]["metrics"][VERDICT_METRIC]["value"] for _, c in pairs])
-        verdicts[workload] = workload_verdict(timing, mismatches[workload], goldens_moved)
+        timing, verdicts[workload] = judge(pairs, mismatches[workload], goldens_moved)
         report[workload] = {
             "pairs": [{"seed": args.first_seed + k, "base": b[0], "change": c[0]}
                       for k, (b, c) in enumerate(pairs)],
             "summary": rows,
-            "verdict": dict(timing, line=verdicts[workload][0],
+            "verdict": dict(timing or {}, line=verdicts[workload][0],
                             fails=verdicts[workload][1]),
         }
         print(f"{workload}")

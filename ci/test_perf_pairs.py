@@ -30,6 +30,16 @@ def run(wall_s, sim_resp_us=100.0, fingerprint=("fingerprint ipu 1",), correct=T
     return result, list(fingerprint)
 
 
+def traced_run(gc_s, fingerprint=("fingerprint ipu 1",)):
+    """A synthetic traced run: per-layer metrics only, no wall_s."""
+    result = {
+        "correct": True,
+        "failed": 0,
+        "metrics": {"ftl.gc_s.ipu": {"value": gc_s, "unit": "s"}},
+    }
+    return result, list(fingerprint)
+
+
 def verdict(base, change, mismatches=(), goldens_moved=False):
     """Whether a workload with these paired wall times fails the gate."""
     timing = perf_pairs.timing_verdict(base, change)
@@ -93,6 +103,30 @@ class SimulatedWork(unittest.TestCase):
         self.assertEqual(len(perf_pairs.run_failures("w", 1, bad, run(1.0))), 1)
         self.assertEqual(len(perf_pairs.run_failures("w", 1, run(1.0), bad)), 1)
         self.assertEqual(perf_pairs.run_failures("w", 1, run(1.0), run(1.0)), [])
+
+
+class TracedRuns(unittest.TestCase):
+    def test_runs_without_wall_s_get_no_timing_verdict(self):
+        # Every change run slower: untraced, that would be a regression.
+        pairs = [(traced_run(1.0), traced_run(1.1)) for _ in range(10)]
+        self.assertEqual(perf_pairs.summarize(pairs)[0]["change_lower"], 0)
+        timing, (line, fails) = perf_pairs.judge(pairs, [], False)
+        self.assertIsNone(timing)
+        self.assertFalse(fails)
+        self.assertIn("no timing verdict", line)
+
+    def test_fingerprint_mismatch_still_fails_without_wall_s(self):
+        base, change = traced_run(1.0), traced_run(1.0, fingerprint=("fingerprint ipu 2",))
+        mismatches = perf_pairs.sim_mismatches("w", 1, base, change)
+        _, (line, fails) = perf_pairs.judge([(base, change)], mismatches, False)
+        self.assertTrue(fails)
+        self.assertIn("no timing verdict", line)
+
+    def test_untraced_pairs_keep_their_timing_verdict(self):
+        pairs = [(run(1.0), run(1.1)) for _ in range(10)]
+        timing, (_, fails) = perf_pairs.judge(pairs, [], False)
+        self.assertEqual(timing["slower"], 10)
+        self.assertTrue(fails)
 
 
 class GoldensChanged(unittest.TestCase):
