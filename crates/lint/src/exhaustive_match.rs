@@ -3,14 +3,13 @@
 //! The enums in [`GROWTH_ENUMS`] are the ones the ROADMAP keeps adding
 //! variants to: a fifth scheme (IPS, arXiv 2409.14360) means a new
 //! `SchemeKind`; new background work means a new `RoundOrigin`; new fault
-//! shapes mean new `FlashError`s; new replay events mean new `EventKind`
-//! classes. A `_ =>` arm on any of these compiles cleanly when the variant
-//! lands and silently swallows it — exactly the failure mode exhaustive
-//! matching exists to prevent. The rule flags every *bare* `_` arm (a lone
-//! `_` pattern, no guard) in a `match` whose other arm patterns name a
-//! growth-enum variant. Guarded wildcards (`x if cond =>`) and binding
-//! patterns (`other =>`) are left alone: they express intent, and rustc
-//! still forces totality around them.
+//! shapes mean new `FlashError`s. A `_ =>` arm on any of these compiles
+//! cleanly when the variant lands and silently swallows it — exactly the
+//! failure mode exhaustive matching exists to prevent. The rule flags every
+//! *bare* `_` arm (a lone `_` pattern, no guard) in a `match` whose other arm
+//! patterns name a growth-enum variant. Guarded wildcards (`x if cond =>`)
+//! and binding patterns (`other =>`) are left alone: they express intent,
+//! and rustc still forces totality around them.
 
 use crate::lexer::{TokKind, Token};
 use crate::ttree::TokenTreeIndex;
@@ -24,7 +23,6 @@ pub const GROWTH_ENUMS: &[&str] = &[
     "FtlError",
     "ReqStatus",
     "FlashOpKind",
-    "EventKind",
 ];
 
 /// One parsed match arm: its pattern token span and source line.
