@@ -41,7 +41,7 @@ pub use gc::{
     cold_valid_weight_fast, greedy_score, isr_jensen_bound, isr_score, isr_score_fast,
     select_greedy, select_isr,
 };
-pub use mapping::{ChunkSummary, FxBuildHasher, FxHasher, MappingTable};
+pub use mapping::{ChunkSummary, MappingTable};
 pub use memory::MappingMemory;
 pub use ops::{FlashOpKind, OpBatch, OpRecord, ReqStatus, RoundOrigin};
 pub use schemes::{common::FtlCore, FtlScheme, SchemeKind};
