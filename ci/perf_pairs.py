@@ -15,7 +15,12 @@ stretch of the machine does not always land on the same side.
 For every metric it prints the base and change medians, the base's first
 and third quartiles, and in how many of the N pairs the change was lower.
 `gap>IQR` marks a metric whose medians differ by more than the base's
-interquartile range.
+interquartile range. `>bound` marks an end-to-end metric (BENCHMARK.json's
+`end_to_end`) whose change median is worse than the base median by more
+than the metric's `bound`, in its `better` direction: the rule the
+benchmark pipeline applies to every end-to-end metric. After the verdicts,
+one `over bound` line names each marked workload and metric. The marker
+is informational: it does not change the exit status.
 
 Then it prints one verdict line per workload. A workload regresses when
 the change's `wall_s` is higher than the base's in at least 9 of every 10
@@ -177,6 +182,22 @@ def judge(pairs, mismatches, goldens_moved):
     return timing, workload_verdict(timing, mismatches, goldens_moved)
 
 
+def load_bounds(path="BENCHMARK.json"):
+    """End-to-end metric name -> (better, bound) from the benchmark file."""
+    with open(path) as f:
+        return {m["name"]: (m["better"], m["bound"]) for m in json.load(f)["end_to_end"]}
+
+
+def exceeds_bound(name, base_med, change_med, bounds):
+    """Whether `name`'s change median is worse than the base median by more
+    than its bound. Metrics without a bound (per-layer ones) never are."""
+    if name not in bounds or not base_med:
+        return False
+    better, bound = bounds[name]
+    delta = (change_med - base_med) / base_med
+    return delta > bound if better == "lower" else -delta > bound
+
+
 def quartiles(values):
     if len(values) < 2:
         return values[0], values[0]
@@ -184,8 +205,10 @@ def quartiles(values):
     return q1, q3
 
 
-def summarize(pairs):
-    """Per metric: medians, base quartiles, and pairs where change < base."""
+def summarize(pairs, bounds=None):
+    """Per metric: medians, base quartiles, pairs where change < base, and
+    whether the change median is past the metric's bound (see
+    `exceeds_bound`; `bounds` as `load_bounds` returns it)."""
     rows = []
     for name, m in pairs[0][0][0]["metrics"].items():
         base = [b[0]["metrics"][name]["value"] for b, _ in pairs]
@@ -204,6 +227,7 @@ def summarize(pairs):
             "change_lower": sum(c < b for b, c in zip(base, change)),
             "pairs": len(pairs),
             "gap_exceeds_iqr": abs(change_med - base_med) > q3 - q1,
+            "exceeds_bound": exceeds_bound(name, base_med, change_med, bounds or {}),
         })
     return rows
 
@@ -223,6 +247,7 @@ def main():
     if args.seconds is None:
         with open("BENCHMARK.json") as f:
             args.seconds = json.load(f)["run_seconds"]
+    bounds = load_bounds()
 
     sha = git("rev-parse", "--verify", args.base + "^{commit}")
     work = os.path.abspath(args.work_dir)
@@ -250,7 +275,7 @@ def main():
             pairs.append((runs["base"], runs["change"]))
             print(f"  {workload} pair {k + 1}/{args.pairs} (seed {seed}) done",
                   file=sys.stderr, flush=True)
-        rows = summarize(pairs)
+        rows = summarize(pairs, bounds)
         timing, verdicts[workload] = judge(pairs, mismatches[workload], goldens_moved)
         report[workload] = {
             "pairs": [{"seed": args.first_seed + k, "base": b[0], "change": c[0]}
@@ -263,7 +288,8 @@ def main():
         print(f"  {'metric':28s} {'base med':>12s} {'base q1':>12s} {'base q3':>12s} "
               f"{'change med':>12s} {'delta':>8s} {'lower':>7s}")
         for r in rows:
-            mark = "  gap>IQR" if r["gap_exceeds_iqr"] else ""
+            mark = ("  gap>IQR" if r["gap_exceeds_iqr"] else "") + \
+                ("  >bound" if r["exceeds_bound"] else "")
             print(f"  {r['metric']:28s} {r['base_median']:12.6g} {r['base_q1']:12.6g} "
                   f"{r['base_q3']:12.6g} {r['change_median']:12.6g} {r['delta']:+8.1%} "
                   f"{r['change_lower']:>3d}/{r['pairs']:<3d}{mark}")
@@ -281,6 +307,11 @@ def main():
         print(f"MISMATCH {p}", file=sys.stderr)
     for workload, (line, _) in verdicts.items():
         print(f"verdict {workload}: {line}")
+    for workload, data in report.items():
+        for r in data["summary"]:
+            if r["exceeds_bound"]:
+                print(f"over bound {workload}: {r['metric']} {r['delta']:+.1%}, "
+                      f"bound {bounds[r['metric']][1]:.0%}")
     return 1 if failures or any(fails for _, fails in verdicts.values()) else 0
 
 

@@ -129,6 +129,42 @@ class TracedRuns(unittest.TestCase):
         self.assertTrue(fails)
 
 
+class BoundMarker(unittest.TestCase):
+    BOUNDS = {"wall_s": ("lower", 0.25), "rate": ("higher", 0.25)}
+
+    def marked(self, name, base, change):
+        return perf_pairs.exceeds_bound(name, base, change, self.BOUNDS)
+
+    def test_a_metric_exactly_at_its_bound_is_not_marked(self):
+        self.assertFalse(self.marked("wall_s", 1.0, 1.25))
+        self.assertFalse(self.marked("rate", 1.0, 0.75))
+
+    def test_a_metric_just_past_its_bound_is_marked(self):
+        self.assertTrue(self.marked("wall_s", 1.0, 1.2501))
+        self.assertTrue(self.marked("rate", 1.0, 0.7499))
+        # Better by any amount is never over the bound.
+        self.assertFalse(self.marked("wall_s", 1.0, 0.5))
+        self.assertFalse(self.marked("rate", 1.0, 2.0))
+
+    def test_a_per_layer_metric_is_never_marked(self):
+        pairs = [(traced_run(1.0), traced_run(10.0)) for _ in range(10)]
+        row = perf_pairs.summarize(pairs, self.BOUNDS)[0]
+        self.assertEqual(row["metric"], "ftl.gc_s.ipu")
+        self.assertFalse(row["exceeds_bound"])
+
+    def test_summary_rows_carry_the_marker(self):
+        pairs = [(run(1.0), run(1.3)) for _ in range(10)]
+        rows = {r["metric"]: r for r in perf_pairs.summarize(pairs, self.BOUNDS)}
+        self.assertTrue(rows["wall_s"]["exceeds_bound"])
+        self.assertFalse(rows["sim_resp_us.ipu"]["exceeds_bound"])
+
+    def test_the_bounds_come_from_the_benchmark_file(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        bounds = perf_pairs.load_bounds(os.path.join(root, "BENCHMARK.json"))
+        self.assertEqual(bounds["wall_s"], ("lower", 0.25))
+        self.assertNotIn("ftl.gc_s.ipu", bounds)
+
+
 class GoldensChanged(unittest.TestCase):
     def test_only_a_deleted_or_rewritten_golden_line_counts(self):
         cwd = os.getcwd()
