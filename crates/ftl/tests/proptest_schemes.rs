@@ -27,6 +27,48 @@ fn workload() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
+/// Runs `ops` on a device with `blocks_per_plane` blocks per plane, half of
+/// them SLC: too little room for the workload's up to 48 live LSNs plus GC
+/// headroom, so allocations stall, emergency reclaim runs (mostly finding
+/// nothing) and writes fail for lack of space. A failed write drops its
+/// data by design, so only the core's own cross-check applies; it must hold
+/// after every operation, its emergency-reclaim clause included.
+fn check_scheme_when_full(
+    kind: SchemeKind,
+    blocks_per_plane: u32,
+    ops: &[Op],
+) -> Result<(), TestCaseError> {
+    let mut config = DeviceConfig::small_for_tests();
+    config.geometry.blocks_per_plane = blocks_per_plane;
+    let mut dev = FlashDevice::new(config);
+    let cfg = FtlConfig {
+        slc_ratio: 0.5,
+        ..FtlConfig::default()
+    };
+    let mut ftl = kind.build(&mut dev, cfg);
+    for (t, op) in ops.iter().enumerate() {
+        let req = IoRequest::new(
+            t as u64 * 1000,
+            if op.write {
+                OpKind::Write
+            } else {
+                OpKind::Read
+            },
+            op.slot * 65536,
+            op.size_subpages as u32 * 4096,
+        );
+        if op.write {
+            ftl.on_write(&req, req.timestamp_ns, &mut dev);
+        } else {
+            ftl.on_read(&req, req.timestamp_ns, &mut dev);
+        }
+        if let Err(e) = ftl.core().check_invariants(&dev) {
+            return Err(TestCaseError::fail(format!("{kind:?}: after op {t}: {e}")));
+        }
+    }
+    Ok(())
+}
+
 fn check_scheme(kind: SchemeKind, ops: &[Op]) -> Result<(), TestCaseError> {
     let mut dev = FlashDevice::new(DeviceConfig::small_for_tests());
     // Slightly roomier SLC region so all IPU levels can engage; still small
@@ -164,5 +206,23 @@ proptest! {
             (ftl.stats().clone(), dev.counters(), dev.wear().totals())
         };
         prop_assert_eq!(run(&ops), run(&ops));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A device too small for the workload: stalled allocations and
+    /// writes failed for space leave every scheme consistent.
+    #[test]
+    fn invariants_hold_when_the_device_fills(
+        ops in workload(),
+        blocks_per_plane in 3u32..=6,
+        kind in prop_oneof![
+            Just(SchemeKind::Baseline), Just(SchemeKind::Mga),
+            Just(SchemeKind::Ipu), Just(SchemeKind::IpuPlus)
+        ]
+    ) {
+        check_scheme_when_full(kind, blocks_per_plane, &ops)?;
     }
 }
