@@ -12,7 +12,8 @@
 
 use ipu_flash::{BlockState, Nanos, SubpageState};
 
-use crate::cache_meta::BlockMeta;
+use crate::cache_meta::{written_at, BlockMeta};
+use crate::schemes::common::SubTag;
 
 /// Greedy score: the block's invalid subpages (partial-programming aware,
 /// as MGA counts them). O(1): `ipu-flash` caches the count per block.
@@ -41,18 +42,28 @@ pub fn select_greedy<'a>(
 /// in pages that never received an intra-page update, `t_ij` is the time since
 /// subpage `j` was written, and `T_i` is the mean such age over *all* valid
 /// subpages of the block (the exponential-interarrival parameter).
-pub fn cold_valid_weight(block: &BlockState, meta: &BlockMeta, now: Nanos) -> f64 {
+///
+/// Computed from scratch from the block's sources: validity from the device,
+/// write times from `tags` (the block's OOB tags, page-major), and a page
+/// counts as updated once it has taken a second program.
+pub fn cold_valid_weight(block: &BlockState, tags: &[SubTag], now: Nanos) -> f64 {
+    // Write times of the valid subpages, in (page, subpage) order, with
+    // whether their page was never updated.
+    let valid = (0..block.page_count()).flat_map(|p| {
+        let page = block.page(p);
+        let n = page.subpage_count();
+        (0..n)
+            .filter(move |&s| page.subpage(s) == SubpageState::Valid)
+            .map(move |s| {
+                let written = written_at(tags, (p * n as u32 + s as u32) as usize);
+                (written, page.program_ops() < 2)
+            })
+    });
     let mut ages_sum = 0.0f64;
     let mut valid_count = 0u32;
-    for p in 0..block.page_count() {
-        let page = block.page(p);
-        for s in 0..page.subpage_count() {
-            if page.subpage(s) == SubpageState::Valid {
-                let written = meta.written_at(p, s);
-                ages_sum += now.saturating_sub(written) as f64;
-                valid_count += 1;
-            }
-        }
+    for (written, _) in valid.clone() {
+        ages_sum += now.saturating_sub(written) as f64;
+        valid_count += 1;
     }
     if valid_count == 0 {
         return 0.0;
@@ -60,26 +71,20 @@ pub fn cold_valid_weight(block: &BlockState, meta: &BlockMeta, now: Nanos) -> f6
     let t_mean = (ages_sum / valid_count as f64).max(1.0);
 
     let mut weight = 0.0;
-    for p in 0..block.page_count() {
-        if meta.page_updated(p) {
-            continue; // hot page: its data was updated in place, exclude from J
-        }
-        let page = block.page(p);
-        for s in 0..page.subpage_count() {
-            if page.subpage(s) == SubpageState::Valid {
-                let age = now.saturating_sub(meta.written_at(p, s)) as f64;
-                weight += 1.0 - (-age / t_mean).exp();
-            }
-        }
+    // Hot pages' data was updated in place: excluded from J.
+    for (written, _) in valid.filter(|&(_, cold)| cold) {
+        let age = now.saturating_sub(written) as f64;
+        weight += 1.0 - (-age / t_mean).exp();
     }
     weight
 }
 
-/// The paper's Equation 1: `ISR_i = (IS_i + IS'_i) / TS_i`.
+/// The paper's Equation 1: `ISR_i = (IS_i + IS'_i) / TS_i`, from scratch
+/// (see [`cold_valid_weight`]).
 ///
 /// ```
 /// use ipu_flash::{BlockAddr, CellMode, DeviceConfig, FlashDevice, Spa};
-/// use ipu_ftl::{isr_score, BlockLevel, CacheMeta};
+/// use ipu_ftl::{isr_score, SubTag};
 ///
 /// let mut dev = FlashDevice::new(DeviceConfig::small_for_tests());
 /// let addr = BlockAddr::new(0, 0, 0, 0, 0);
@@ -87,21 +92,23 @@ pub fn cold_valid_weight(block: &BlockState, meta: &BlockMeta, now: Nanos) -> f6
 /// dev.program(Spa::new(addr.page(0), 0), 4).unwrap();
 /// dev.invalidate(Spa::new(addr.page(0), 0)).unwrap();
 ///
-/// let mut meta = CacheMeta::new();
-/// meta.open_block(0, addr, BlockLevel::Work, 4, 4);
-/// meta.get_mut(0).unwrap().note_program(0, 0, 4, 1, false);
+/// // Page 0's four subpages were written at 1 ns (LSNs 0..4).
+/// let mut tags = vec![SubTag::default(); 16];
+/// for s in 0..4 {
+///     tags[s] = SubTag::new(s as u64, 1, false);
+/// }
 ///
 /// // 1 invalid subpage + 3 aged cold valid subpages over 16 total.
-/// let isr = isr_score(dev.block(addr), meta.get(0).unwrap(), 1_000_000_000);
+/// let isr = isr_score(dev.block(addr), &tags, 1_000_000_000);
 /// assert!(isr > 1.0 / 16.0 && isr < 4.0 / 16.0 + 1e-9);
 /// ```
-pub fn isr_score(block: &BlockState, meta: &BlockMeta, now: Nanos) -> f64 {
+pub fn isr_score(block: &BlockState, tags: &[SubTag], now: Nanos) -> f64 {
     let total = block.total_subpages();
     if total == 0 {
         return 0.0;
     }
     let invalid = block.count_subpages(SubpageState::Invalid) as f64;
-    (invalid + cold_valid_weight(block, meta, now)) / total as f64
+    (invalid + cold_valid_weight(block, tags, now)) / total as f64
 }
 
 /// Eq. 2's `T_i` from the cached sums: the mean age of the block's valid
@@ -117,14 +124,15 @@ fn mean_valid_age(meta: &BlockMeta, now: Nanos) -> f64 {
 
 /// Incremental (cached-aggregate) variant of [`cold_valid_weight`].
 ///
-/// Produces the same value as the oracle *provided* the metadata's validity
-/// mask mirrors the device state — which `FtlCore` maintains by notifying the
-/// metadata on every program and invalidate. The mean-age pass is replaced by
-/// the closed form of `mean_valid_age`, and the J-term walks only the
-/// metadata arrays in the oracle's (page, subpage) order, reusing the
-/// previous `exp` whenever consecutive subpages share a write timestamp
-/// (subpages programmed by one operation always do).
-pub fn cold_valid_weight_fast(meta: &BlockMeta, now: Nanos) -> f64 {
+/// Produces the same value as the oracle *provided* the metadata's
+/// aggregates follow the device and `tags` — which `FtlCore` maintains by
+/// notifying the metadata on every program and invalidate. The mean-age pass
+/// is replaced by the closed form of `mean_valid_age`, and the J-term walks
+/// only the cold bitset's set bits in the oracle's (page, subpage) order,
+/// reading each write time from its tag and reusing the previous `exp`
+/// whenever consecutive subpages share a write timestamp (subpages
+/// programmed by one operation always do).
+pub fn cold_valid_weight_fast(meta: &BlockMeta, tags: &[SubTag], now: Nanos) -> f64 {
     if meta.valid_count() == 0 {
         return 0.0;
     }
@@ -133,7 +141,6 @@ pub fn cold_valid_weight_fast(meta: &BlockMeta, now: Nanos) -> f64 {
     let mut weight = 0.0;
     let mut last_t = Nanos::MAX;
     let mut last_w = 0.0;
-    let written = meta.written_slots();
     // Walk only the J-population (valid subpages of never-updated pages) via
     // the cold bitset; ascending set-bit order is the oracle's (page, subpage)
     // order, so the f64 summation is term-for-term identical.
@@ -142,7 +149,7 @@ pub fn cold_valid_weight_fast(meta: &BlockMeta, now: Nanos) -> f64 {
         while bits != 0 {
             let slot = w * 64 + bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            let t = written.get(slot).copied().unwrap_or(0);
+            let t = written_at(tags, slot);
             if t != last_t {
                 let age = now.saturating_sub(t) as f64;
                 last_w = 1.0 - (-age / t_mean).exp();
@@ -154,15 +161,15 @@ pub fn cold_valid_weight_fast(meta: &BlockMeta, now: Nanos) -> f64 {
     weight
 }
 
-/// Incremental variant of [`isr_score`]; same mask-mirrors-device precondition
-/// as [`cold_valid_weight_fast`].
-pub fn isr_score_fast(block: &BlockState, meta: &BlockMeta, now: Nanos) -> f64 {
+/// Incremental variant of [`isr_score`]; same precondition as
+/// [`cold_valid_weight_fast`].
+pub fn isr_score_fast(block: &BlockState, meta: &BlockMeta, tags: &[SubTag], now: Nanos) -> f64 {
     let total = block.total_subpages();
     if total == 0 {
         return 0.0;
     }
     let invalid = block.count_subpages(SubpageState::Invalid) as f64;
-    (invalid + cold_valid_weight_fast(meta, now)) / total as f64
+    (invalid + cold_valid_weight_fast(meta, tags, now)) / total as f64
 }
 
 /// O(1) upper bound on [`isr_score`] and [`isr_score_fast`] (Jensen's
@@ -195,14 +202,15 @@ pub fn isr_jensen_bound(block: &BlockState, meta: &BlockMeta, now: Nanos) -> f64
     (invalid + cold_bound) / total as f64
 }
 
-/// Selects the candidate with the highest ISR score; ties break toward the
-/// oldest block (FIFO), as in [`select_greedy`].
+/// Selects the candidate `(index, block, OOB tags, opened_seq)` with the
+/// highest ISR score; ties break toward the oldest block (FIFO), as in
+/// [`select_greedy`].
 pub fn select_isr<'a>(
-    candidates: impl Iterator<Item = (u64, &'a BlockState, &'a BlockMeta)>,
+    candidates: impl Iterator<Item = (u64, &'a BlockState, &'a [SubTag], u64)>,
     now: Nanos,
 ) -> Option<u64> {
     candidates
-        .map(|(idx, block, meta)| (isr_score(block, meta, now), meta.opened_seq(), idx))
+        .map(|(idx, block, tags, seq)| (isr_score(block, tags, now), seq, idx))
         .max_by(|a, b| {
             a.0.partial_cmp(&b.0)
                 .unwrap_or(std::cmp::Ordering::Equal)
@@ -214,41 +222,61 @@ pub fn select_isr<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache_meta::CacheMeta;
-    use crate::types::BlockLevel;
     use ipu_flash::{BlockAddr, CellMode, DeviceConfig, FlashDevice, Spa};
 
     /// Builds a 4-page SLC block; `pattern[p]` = (programmed subpages,
-    /// invalidated subpages).
-    fn build_block(dev: &mut FlashDevice, block: u32, pattern: &[(u8, u8)]) -> BlockAddr {
+    /// invalidated subpages). With `updated`, each page takes its subpages
+    /// in two programs, so the second is an intra-page update.
+    fn build_block(
+        dev: &mut FlashDevice,
+        block: u32,
+        pattern: &[(u8, u8)],
+        updated: bool,
+    ) -> BlockAddr {
         let addr = BlockAddr::new(0, 0, 0, 0, block);
         dev.set_block_mode(addr, CellMode::Slc);
         for (p, &(programmed, invalid)) in pattern.iter().enumerate() {
-            if programmed > 0 {
-                dev.program(Spa::new(addr.page(p as u32), 0), programmed)
+            let page = addr.page(p as u32);
+            if updated && programmed > 1 {
+                dev.program(Spa::new(page, 0), programmed / 2).unwrap();
+                dev.program(Spa::new(page, programmed / 2), programmed - programmed / 2)
                     .unwrap();
+            } else if programmed > 0 {
+                dev.program(Spa::new(page, 0), programmed).unwrap();
             }
             for s in 0..invalid {
-                dev.invalidate(Spa::new(addr.page(p as u32), s)).unwrap();
+                dev.invalidate(Spa::new(page, s)).unwrap();
             }
         }
         addr
     }
 
+    /// Tags for a 4-page block of 4-subpage pages whose page `p` was
+    /// written at `times[p]`.
+    fn tags(times: &[Nanos]) -> Vec<SubTag> {
+        let mut tags = vec![SubTag::default(); 16];
+        for (p, &t) in times.iter().enumerate() {
+            for s in 0..4 {
+                tags[p * 4 + s] = SubTag::new((p * 4 + s) as u64, t, false);
+            }
+        }
+        tags
+    }
+
     #[test]
     fn greedy_subpage_counts_invalids() {
         let mut dev = FlashDevice::new(DeviceConfig::small_for_tests());
-        let a = build_block(&mut dev, 0, &[(4, 2), (4, 0)]);
+        let a = build_block(&mut dev, 0, &[(4, 2), (4, 0)], false);
         assert_eq!(greedy_score(dev.block(a)), 2);
-        let b = build_block(&mut dev, 1, &[(4, 4), (2, 1)]);
+        let b = build_block(&mut dev, 1, &[(4, 4), (2, 1)], false);
         assert_eq!(greedy_score(dev.block(b)), 5);
     }
 
     #[test]
     fn select_greedy_prefers_most_invalid() {
         let mut dev = FlashDevice::new(DeviceConfig::small_for_tests());
-        let a = build_block(&mut dev, 0, &[(4, 1), (0, 0)]);
-        let b = build_block(&mut dev, 1, &[(4, 3), (0, 0)]);
+        let a = build_block(&mut dev, 0, &[(4, 1), (0, 0)], false);
+        let b = build_block(&mut dev, 1, &[(4, 3), (0, 0)], false);
         let g = dev.config().geometry.clone();
         let cands = vec![
             (g.block_index(a), dev.block(a), 0),
@@ -261,8 +289,8 @@ mod tests {
     #[test]
     fn greedy_ties_break_to_oldest_block() {
         let mut dev = FlashDevice::new(DeviceConfig::small_for_tests());
-        let a = build_block(&mut dev, 0, &[(4, 2)]);
-        let b = build_block(&mut dev, 1, &[(4, 2)]);
+        let a = build_block(&mut dev, 0, &[(4, 2)], false);
+        let b = build_block(&mut dev, 1, &[(4, 2)], false);
         let g = dev.config().geometry.clone();
         // Same score; block b was opened earlier (seq 3 vs 7) → b wins.
         let cands = vec![
@@ -276,7 +304,7 @@ mod tests {
     #[test]
     fn select_greedy_handles_all_valid_cache() {
         let mut dev = FlashDevice::new(DeviceConfig::small_for_tests());
-        let a = build_block(&mut dev, 0, &[(4, 0)]);
+        let a = build_block(&mut dev, 0, &[(4, 0)], false);
         let g = dev.config().geometry.clone();
         // No invalid data anywhere: still returns a victim (pure eviction).
         let winner = select_greedy(vec![(g.block_index(a), dev.block(a), 0)].into_iter());
@@ -289,43 +317,26 @@ mod tests {
         // data (updated pages) → ISR = 6/16. Candidate B has 6 invalid and old
         // cold valid data worth ~0.9 → ISR ≈ 6.9/16 → B wins.
         let mut dev = FlashDevice::new(DeviceConfig::small_for_tests());
-        let a = build_block(&mut dev, 0, &[(4, 2), (4, 2), (4, 2), (4, 0)]);
-        let b = build_block(&mut dev, 1, &[(4, 2), (4, 2), (4, 2), (4, 0)]);
+        let pattern = [(4, 2), (4, 2), (4, 2), (4, 0)];
+        let a = build_block(&mut dev, 0, &pattern, true);
+        let b = build_block(&mut dev, 1, &pattern, false);
         let g = dev.config().geometry.clone();
-
-        let mut meta = CacheMeta::new();
         let now = 1_000_000;
-        // A: data written recently and updated (hot) → small IS'.
-        meta.open_block(g.block_index(a), a, BlockLevel::Work, 4, 4);
-        let ma = meta.get_mut(g.block_index(a)).unwrap();
-        for p in 0..4 {
-            ma.note_program(p, 0, 4, now - 10, true);
-        }
+        // A: data written recently and updated in place (hot) → small IS'.
+        let tags_a = tags(&[now - 10; 4]);
         // B: data written long ago, never updated (cold) → IS' near valid count.
-        meta.open_block(g.block_index(b), b, BlockLevel::Work, 4, 4);
-        let mb = meta.get_mut(g.block_index(b)).unwrap();
-        for p in 0..4 {
-            mb.note_program(p, 0, 4, 1, false);
-        }
+        let tags_b = tags(&[1; 4]);
 
-        let isr_a = isr_score(dev.block(a), meta.get(g.block_index(a)).unwrap(), now);
-        let isr_b = isr_score(dev.block(b), meta.get(g.block_index(b)).unwrap(), now);
+        let isr_a = isr_score(dev.block(a), &tags_a, now);
+        let isr_b = isr_score(dev.block(b), &tags_b, now);
         assert!((isr_a - 6.0 / 16.0).abs() < 0.01, "hot block ISR {isr_a}");
         assert!(isr_b > isr_a, "cold block must win: {isr_b} vs {isr_a}");
         assert!(isr_b <= 16.0 / 16.0 + 1e-9);
 
         let winner = select_isr(
             vec![
-                (
-                    g.block_index(a),
-                    dev.block(a),
-                    meta.get(g.block_index(a)).unwrap(),
-                ),
-                (
-                    g.block_index(b),
-                    dev.block(b),
-                    meta.get(g.block_index(b)).unwrap(),
-                ),
+                (g.block_index(a), dev.block(a), &tags_a[..], 0),
+                (g.block_index(b), dev.block(b), &tags_b[..], 1),
             ]
             .into_iter(),
             now,
@@ -336,32 +347,19 @@ mod tests {
     #[test]
     fn cold_weight_is_zero_without_valid_data() {
         let mut dev = FlashDevice::new(DeviceConfig::small_for_tests());
-        let a = build_block(&mut dev, 0, &[(4, 4)]);
-        let g = dev.config().geometry.clone();
-        let mut meta = CacheMeta::new();
-        meta.open_block(g.block_index(a), a, BlockLevel::Work, 4, 4);
-        assert_eq!(
-            cold_valid_weight(dev.block(a), meta.get(g.block_index(a)).unwrap(), 500),
-            0.0
-        );
+        let a = build_block(&mut dev, 0, &[(4, 4)], false);
+        let t = tags(&[1]);
+        assert_eq!(cold_valid_weight(dev.block(a), &t, 500), 0.0);
         // Fully-invalid block: ISR = IS/TS = 4/16.
-        assert!(
-            (isr_score(dev.block(a), meta.get(g.block_index(a)).unwrap(), 500) - 0.25).abs() < 1e-9
-        );
+        assert!((isr_score(dev.block(a), &t, 500) - 0.25).abs() < 1e-9);
     }
 
     #[test]
     fn cold_weight_grows_with_age() {
         let mut dev = FlashDevice::new(DeviceConfig::small_for_tests());
-        let a = build_block(&mut dev, 0, &[(4, 0), (4, 0)]);
-        let g = dev.config().geometry.clone();
-        let mut meta = CacheMeta::new();
-        meta.open_block(g.block_index(a), a, BlockLevel::Work, 4, 4);
-        let m = meta.get_mut(g.block_index(a)).unwrap();
-        m.note_program(0, 0, 4, 1, false); // old
-        m.note_program(1, 0, 4, 900_000, false); // fresh
-        let m = meta.get(g.block_index(a)).unwrap();
-        let w = cold_valid_weight(dev.block(a), m, 1_000_000);
+        let a = build_block(&mut dev, 0, &[(4, 0), (4, 0)], false);
+        // Page 0 old, page 1 fresh.
+        let w = cold_valid_weight(dev.block(a), &tags(&[1, 900_000]), 1_000_000);
         // Old page's subpages weigh close to 1, fresh page's close to 0.18.
         assert!(w > 4.0 * 0.8, "old data under-weighted: {w}");
         assert!(w < 8.0, "weight cannot exceed valid count: {w}");

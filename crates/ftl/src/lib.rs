@@ -44,7 +44,10 @@ pub use gc::{
 pub use mapping::{ChunkSummary, MappingTable};
 pub use memory::MappingMemory;
 pub use ops::{FlashOpKind, OpBatch, OpRecord, ReqStatus, RoundOrigin};
-pub use schemes::{common::FtlCore, FtlScheme, SchemeKind};
+pub use schemes::{
+    common::{FtlCore, SubTag},
+    FtlScheme, SchemeKind,
+};
 pub use stats::FtlStats;
 pub use types::{BlockLevel, Lcn, Lsn};
 pub use wear_leveling::{WearLeveler, WearLevelingConfig};

@@ -4,11 +4,11 @@
 //! incremental `isr_score_fast` nor the full-recomputation oracle
 //! `isr_score` — or victim selection could prune the true winner. Each case
 //! replays a random per-block history (first programs, intra-page updates and
-//! invalidates at random timestamps) on a real SLC block and its cache
-//! metadata, then compares bound and scores at a random `now`.
+//! invalidates at random timestamps) on a real SLC block, its OOB tags and
+//! its cache metadata, then compares bound and scores at a random `now`.
 
 use ipu_flash::{BlockAddr, CellMode, DeviceConfig, FlashDevice, Nanos, Spa, SubpageState};
-use ipu_ftl::{isr_jensen_bound, isr_score, isr_score_fast, BlockLevel, CacheMeta};
+use ipu_ftl::{isr_jensen_bound, isr_score, isr_score_fast, BlockLevel, CacheMeta, SubTag};
 use proptest::prelude::*;
 
 /// Slack for f64 rounding between the bound's closed form and the scorers'
@@ -28,6 +28,7 @@ fn history(t_max: Nanos) -> impl Strategy<Value = Vec<Step>> {
 struct Replayed {
     dev: FlashDevice,
     meta: CacheMeta,
+    tags: Vec<SubTag>,
     addr: BlockAddr,
 }
 
@@ -41,12 +42,11 @@ impl Replayed {
 
     fn fast(&self, now: Nanos) -> f64 {
         let m = self.meta.get(Self::IDX).unwrap();
-        isr_score_fast(self.dev.block(self.addr), m, now)
+        isr_score_fast(self.dev.block(self.addr), m, &self.tags, now)
     }
 
     fn oracle(&self, now: Nanos) -> f64 {
-        let m = self.meta.get(Self::IDX).unwrap();
-        isr_score(self.dev.block(self.addr), m, now)
+        isr_score(self.dev.block(self.addr), &self.tags, now)
     }
 
     /// `(invalid + j) / total`: the bound's fallback and its `j = 0` value.
@@ -69,6 +69,7 @@ fn replay(steps: &[Step], cold_t: Option<Nanos>) -> Replayed {
     let spp = g.subpages_per_page() as u8;
     let mut meta = CacheMeta::new();
     meta.open_block(Replayed::IDX, addr, BlockLevel::Work, pages, spp as u32);
+    let mut tags = vec![SubTag::default(); (pages * spp as u32) as usize];
     let mut next_free = vec![0u8; pages as usize];
 
     for &(kind, page, x, t) in steps {
@@ -87,20 +88,30 @@ fn replay(steps: &[Step], cold_t: Option<Nanos>) -> Replayed {
                 continue; // partial-program limit reached on this page
             }
             let t = if follow_up { t } else { cold_t.unwrap_or(t) };
+            for s in cursor..cursor + count {
+                let slot = (page * spp as u32 + s as u32) as usize;
+                tags[slot] = SubTag::new(slot as u64, t, follow_up);
+            }
             let m = meta.get_mut(Replayed::IDX).unwrap();
-            m.note_program(page, cursor, count, t, follow_up);
+            m.note_program(page, cursor, count, t, follow_up, &tags);
             next_free[page as usize] += count;
         } else {
             let spa = Spa::new(addr.page(page), x % spp);
             if dev.block(addr).page(page).subpage(spa.subpage) == SubpageState::Valid {
                 dev.invalidate(spa).unwrap();
                 let m = meta.get_mut(Replayed::IDX).unwrap();
-                m.note_invalidate(page, spa.subpage);
+                m.note_invalidate(page, spa.subpage, &tags);
             }
         }
     }
-    assert!(meta.get(Replayed::IDX).unwrap().aggregates_consistent());
-    Replayed { dev, meta, addr }
+    let m = meta.get(Replayed::IDX).unwrap();
+    assert_eq!(m.check_aggregates(dev.block(addr), &tags), Ok(()));
+    Replayed {
+        dev,
+        meta,
+        tags,
+        addr,
+    }
 }
 
 proptest! {

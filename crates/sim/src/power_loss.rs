@@ -4,7 +4,9 @@
 //! open-block rings, scheme-local packing state) is dropped and rebuilt from
 //! durable flash contents — the per-page OOB records and the bad-block table
 //! ([`ipu_ftl::FtlScheme::power_cycle`]). A valid subpage's owner is the LSN
-//! in its OOB tag, so the owners compared below come from the tags. The rebuilt state is
+//! in its OOB tag, and the tags survive the cut unchanged, so the owners
+//! compared below come from the tags; what the rebuild recomputes is the
+//! mapping table and each block's ISR aggregates. The rebuilt state is
 //! checked against a **golden oracle**: the durable view of the same FTL an
 //! instant before power was cut. Recovery is correct iff the two are
 //! identical and the core's structural invariants still hold.
@@ -19,16 +21,25 @@ use crate::engine::ReplayConfig;
 use crate::event_core::EventCore;
 
 /// Durable view of one in-use block: what OOB-based recovery must restore.
+/// Beside the level and open order, these are the cache metadata's ISR
+/// aggregates, which the rebuild recomputes from the device and the tags.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockSnapshot {
     pub level: BlockLevel,
     /// Monotonic open order (ISR GC tie-breaking depends on it).
     pub opened_seq: u64,
-    /// `(page, subpage)` → durable write timestamp, for every subpage
-    /// programmed in the current erase cycle (valid or since-invalidated).
-    pub written: BTreeMap<(u32, u8), Nanos>,
-    /// Pages flagged as intra-page-updated (drives degraded movement at GC).
-    pub updated_pages: Vec<u32>,
+    /// Valid subpages.
+    pub valid_count: u32,
+    /// Valid subpages in never-updated pages (the ISR J-term population).
+    pub j_count: u32,
+    /// Sum of the valid subpages' write times.
+    pub sum_written_valid: u128,
+    /// Sum of the J-term population's write times.
+    pub sum_written_cold: u128,
+    /// Newest write time this erase cycle, superseded subpages included.
+    pub newest_written: Nanos,
+    /// The J-term population as a page-major bitset.
+    pub cold_mask: Vec<u64>,
 }
 
 /// The durable slice of FTL state: everything power-loss recovery must
@@ -125,38 +136,28 @@ pub fn durable_snapshot(core: &FtlCore, dev: &FlashDevice) -> DurableSnapshot {
         }
     }
 
-    // In-use blocks with at least one programmed subpage. (A freshly-opened
-    // block that never received a program has no durable trace, so recovery
-    // legitimately forgets it.)
-    let spp = core.spp();
-    let mut blocks = BTreeMap::new();
-    for (idx, meta) in core.meta.iter() {
-        let mut written = BTreeMap::new();
-        let mut updated_pages = Vec::new();
-        for page in 0..meta.page_count() {
-            for sub in 0..spp {
-                let t = meta.written_at(page, sub);
-                if t > 0 {
-                    written.insert((page, sub), t);
-                }
-            }
-            if meta.page_updated(page) {
-                updated_pages.push(page);
-            }
-        }
-        if written.is_empty() {
-            continue;
-        }
-        blocks.insert(
-            idx,
-            BlockSnapshot {
+    // In-use blocks with at least one programmed subpage, which is what a
+    // non-zero newest write time says. (A freshly-opened block that never
+    // received a program has no durable trace, so recovery legitimately
+    // forgets it.)
+    let blocks = core
+        .meta
+        .iter()
+        .filter(|(_, meta)| meta.newest_written() > 0)
+        .map(|(idx, meta)| {
+            let snapshot = BlockSnapshot {
                 level: meta.level(),
                 opened_seq: meta.opened_seq(),
-                written,
-                updated_pages,
-            },
-        );
-    }
+                valid_count: meta.valid_count(),
+                j_count: meta.j_count(),
+                sum_written_valid: meta.sum_written_valid(),
+                sum_written_cold: meta.sum_written_cold(),
+                newest_written: meta.newest_written(),
+                cold_mask: meta.cold_mask_words().to_vec(),
+            };
+            (idx, snapshot)
+        })
+        .collect();
 
     let mut bad_blocks: Vec<u64> = core.bad_blocks().iter().copied().collect();
     bad_blocks.sort_unstable();
@@ -357,5 +358,13 @@ mod tests {
         let (&lsn, _) = b.map.iter().next().expect("workload maps data");
         b.map.remove(&lsn);
         assert!(a.diff(&b).unwrap().contains("mapping tables differ"));
+        let mut c = a.clone();
+        let block = c
+            .blocks
+            .values_mut()
+            .next()
+            .expect("workload programs blocks");
+        block.cold_mask[0] ^= 1;
+        assert!(a.diff(&c).unwrap().contains("metadata differs"));
     }
 }
