@@ -249,6 +249,12 @@ impl FlashDevice {
         &self.blocks[idx as usize]
     }
 
+    /// Bytes the blocks' page arrays hold (see
+    /// [`BlockState::page_state_bytes`]).
+    pub fn page_state_bytes(&self) -> usize {
+        self.blocks.iter().map(BlockState::page_state_bytes).sum()
+    }
+
     /// Re-formats a *pristine* block into `mode` without consuming a P/E cycle.
     ///
     /// Used at device initialization to carve out the SLC-mode cache region.
@@ -663,6 +669,34 @@ mod tests {
         // Pages 0 and 2 were programmed while their neighbour (page 1) was
         // still erased, so only the final program generated disturb events.
         assert_eq!(dev.counters().neighbour_disturb_events, 8);
+    }
+
+    #[test]
+    fn disturb_counters_peak_at_seven_in_page_and_sixteen_from_neighbours() {
+        // At 8 subpages per page, with a NOP budget of one program per
+        // subpage, fill page 1 and then both its neighbours one subpage per
+        // program: page 1 takes the most disturb the model allows, which
+        // `PageState`'s byte-wide counters must hold.
+        let mut cfg = DeviceConfig::small_for_tests();
+        cfg.geometry.page_size = 8 * cfg.geometry.subpage_size;
+        cfg.max_partial_programs = 8;
+        let mut dev = FlashDevice::new(cfg);
+        let addr = BlockAddr::new(0, 0, 0, 0, 0);
+        dev.set_block_mode(addr, CellMode::Slc);
+        for page in [1, 0, 2] {
+            for s in 0..8 {
+                dev.program(Spa::new(addr.page(page), s), 1).unwrap();
+            }
+        }
+        let block = dev.block(addr);
+        assert_eq!(block.page(1).in_page_disturbs(0), 7);
+        assert_eq!(block.page(1).neighbour_disturbs(), 16);
+        for p in 0..3 {
+            let page = block.page(p);
+            assert_eq!(page.program_ops(), 8);
+            assert!((0..8).all(|s| page.in_page_disturbs(s) == 7 - s as u16));
+            assert!(page.neighbour_disturbs() <= 16);
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use ipu_flash::Spa;
 use serde::{Deserialize, Serialize};
 
-use crate::types::{Lcn, Lsn};
+use crate::types::Lsn;
 
 /// Multiply-xor hasher for the dense integer keys the forward map uses
 /// (bucket and chunk indices). The default SipHash is DoS-resistant, which simulation
@@ -198,10 +198,77 @@ impl MappingTable {
     /// their live subpages do not all sit identity-aligned in one physical
     /// page, so a page-granular table cannot describe them without a
     /// second-level (subpage) table.
+    ///
+    /// One walk over the buckets. With 1, 2, 4 or 8 subpages per page every
+    /// chunk lies inside one bucket; with 3, 5, 6 or 7 a chunk can straddle
+    /// two, and it is counted once, in the bucket that holds its lowest
+    /// mapped LSN.
     pub fn chunk_summary(&self, subpages_per_page: u32) -> ChunkSummary {
         let spp = subpages_per_page as u64;
+        let mut mapped_chunks = 0;
+        let mut scattered_chunks = 0;
+        for (&bi, bucket) in &self.buckets {
+            let (start, end) = (bi * BUCKET_LSNS, (bi + 1) * BUCKET_LSNS);
+            let at = |lsn: Lsn| {
+                if (start..end).contains(&lsn) {
+                    Spa::unpack(bucket[(lsn - start) as usize])
+                } else {
+                    self.lookup(lsn)
+                }
+            };
+            for lcn in start / spp..end.div_ceil(spp) {
+                let lsns = lcn * spp..(lcn + 1) * spp;
+                // Counted in the bucket that holds its lowest mapped LSN.
+                let lowest = lsns.clone().find(|&lsn| at(lsn).is_some());
+                if !lowest.is_some_and(|lsn| (start..end).contains(&lsn)) {
+                    continue;
+                }
+                let mut first_page = None;
+                let mut aligned = true;
+                for lsn in lsns {
+                    if let Some(spa) = at(lsn) {
+                        let page = *first_page.get_or_insert(spa.ppa);
+                        aligned &= page == spa.ppa && spa.subpage as u64 == lsn % spp;
+                    }
+                }
+                mapped_chunks += 1;
+                scattered_chunks += u64::from(!aligned);
+            }
+        }
+        ChunkSummary {
+            mapped_chunks,
+            scattered_chunks,
+            mapped_subpages: self.len as u64,
+        }
+    }
+
+    /// Bytes of the entries the hash table has room for (capacity × 72 B:
+    /// a bucket and its key). The table's control bytes and the slots it
+    /// keeps beyond its capacity are not counted.
+    pub fn heap_bytes(&self) -> usize {
+        self.buckets.capacity() * std::mem::size_of::<(u64, Bucket)>()
+    }
+}
+
+/// Output of [`MappingTable::chunk_summary`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ChunkSummary {
+    /// Distinct logical chunks with at least one mapped subpage.
+    pub mapped_chunks: u64,
+    /// Chunks whose subpages are not identity-aligned within one physical page.
+    pub scattered_chunks: u64,
+    /// Total mapped logical subpages.
+    pub mapped_subpages: u64,
+}
+
+#[cfg(test)]
+impl MappingTable {
+    /// The former [`MappingTable::chunk_summary`], kept as its oracle: a
+    /// hash map of every mapped chunk, filled from [`MappingTable::iter`].
+    fn chunk_summary_oracle(&self, subpages_per_page: u32) -> ChunkSummary {
+        let spp = subpages_per_page as u64;
         // lcn → (first physical page seen, all-aligned-so-far)
-        let mut chunks: HashMap<Lcn, (Spa, bool), FxBuildHasher> = HashMap::default();
+        let mut chunks: HashMap<crate::types::Lcn, (Spa, bool), FxBuildHasher> = HashMap::default();
         for (lsn, spa) in self.iter() {
             let lcn = lsn / spp;
             let aligned = spa.subpage as u64 == lsn % spp;
@@ -224,17 +291,6 @@ impl MappingTable {
             mapped_subpages: self.len as u64,
         }
     }
-}
-
-/// Output of [`MappingTable::chunk_summary`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ChunkSummary {
-    /// Distinct logical chunks with at least one mapped subpage.
-    pub mapped_chunks: u64,
-    /// Chunks whose subpages are not identity-aligned within one physical page.
-    pub scattered_chunks: u64,
-    /// Total mapped logical subpages.
-    pub mapped_subpages: u64,
 }
 
 #[cfg(test)]
@@ -273,6 +329,40 @@ mod tests {
         assert_eq!(s.mapped_chunks, 3);
         assert_eq!(s.scattered_chunks, 2);
         assert_eq!(s.mapped_subpages, 7);
+    }
+
+    #[test]
+    fn chunk_summary_matches_its_oracle_on_random_maps() {
+        // SplitMix64, so every case is reproducible from its seed.
+        let mut state = 0x6d61_7073_u64;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        for spp in 1..=8u32 {
+            for case in 0..200 {
+                let mut m = MappingTable::new();
+                let span = 8 + next(120);
+                for _ in 0..next(3 * span) {
+                    let lsn = next(span);
+                    let s = spp as u64;
+                    match next(4) {
+                        // Identity-aligned in its chunk's own page.
+                        0 | 1 => m.insert(lsn, spa(0, (lsn / s) as u32, (lsn % s) as u8)),
+                        // A random page and offset.
+                        2 => m.insert(lsn, spa(0, next(4) as u32, next(s) as u8)),
+                        _ => m.remove(lsn),
+                    };
+                }
+                assert_eq!(
+                    m.chunk_summary(spp),
+                    m.chunk_summary_oracle(spp),
+                    "spp {spp}, case {case}"
+                );
+            }
+        }
     }
 
     #[test]
