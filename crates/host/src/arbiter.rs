@@ -44,8 +44,7 @@ impl Arbiter {
                     .map(|(i, _)| self.priorities[i])
                     .min()
                     .expect("checked non-empty");
-                let priorities = self.priorities.clone();
-                self.rr_scan(ready, |i| priorities[i] == top)
+                self.rr_scan(ready, |i| self.priorities[i] == top)
             }
             ArbitrationPolicy::WeightedRoundRobin => {
                 // Lowest virtual time served/weight wins; compare by cross
