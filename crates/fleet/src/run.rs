@@ -11,7 +11,10 @@
 //! or replication is active, the tolerance pass replays the logical request
 //! stream against the plan's availability windows and the router's health
 //! machine; with the inert plan and no replication the pass is skipped
-//! entirely and the run is bit-identical to the pre-fault fleet.
+//! entirely and the run is bit-identical to the pre-fault fleet. The pass's
+//! logical requests come from each device replay's outcome sink, which
+//! records a primary stream's requests only when the pass will run, so an
+//! inert fleet keeps no per-request record.
 //!
 //! A fleet run is a pure function of `(ExperimentConfig, scheme, trace
 //! spec, FleetSpec)` — fault plan, replication and health policy included —
@@ -26,7 +29,7 @@ use ipu_core::{parallel_map, ExperimentConfig, ReplayCache, TraceSet};
 use ipu_ftl::SchemeKind;
 use ipu_host::{ArbitrationPolicy, HostConfig, TenantSpec};
 use ipu_obs::{event, span, Phase};
-use ipu_sim::{replay_closed_loop_detailed, ClosedLoopReport, ReplayConfig};
+use ipu_sim::{replay_closed_loop_with, ClosedLoopReport, ReplayConfig};
 use ipu_trace::{IoRequest, OpKind, PaperTrace, SyntheticTraceSpec};
 use serde::Serialize;
 
@@ -125,23 +128,9 @@ pub fn run_fleet_detailed(
         )
     };
     let tolerance = spec.tolerance_active();
-    // Keep what the tolerance pass needs before the assignments move into
-    // the worker closures: per-device primary stream count and per-request
-    // op kinds (outcomes carry (tenant, seq), not the op).
+    // Per-device primary stream count, for the merge, before the
+    // assignments move into the worker closures.
     let primary_streams: Vec<usize> = assignments.iter().map(|a| a.workloads.len()).collect();
-    let primary_ops: Vec<Vec<Vec<OpKind>>> = if tolerance {
-        assignments
-            .iter()
-            .map(|a| {
-                a.workloads
-                    .iter()
-                    .map(|w| w.iter().map(|r| r.op).collect())
-                    .collect()
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
 
     let replay_cfg = cfg.replay_config(scheme);
     let queue_depth = spec.queue_depth;
@@ -149,10 +138,10 @@ pub fn run_fleet_detailed(
     let plan = &spec.fault_plan;
     let indexed: Vec<(usize, crate::router::DeviceAssignment)> =
         assignments.into_iter().enumerate().collect();
-    let mut per_device_detailed = parallel_map(
+    let runs = parallel_map(
         indexed,
         cfg.effective_threads(),
-        |(device, assignment)| -> Option<(ClosedLoopReport, Vec<ipu_host::RequestOutcome>)> {
+        |(device, assignment)| -> Option<(ClosedLoopReport, Vec<LogicalRequest>)> {
             if assignment.tenant_ids.is_empty() && assignment.mirror_ids.is_empty() {
                 return None;
             }
@@ -170,24 +159,39 @@ pub fn run_fleet_detailed(
             let host = HostConfig::new(queue_depth, arbitration, tenants);
             let mut device_cfg = replay_cfg.clone();
             device_cfg.device = plan.device_config(&replay_cfg.device, device);
+            let primary_n = assignment.workloads.len();
             let workloads: Vec<Vec<IoRequest>> = assignment
                 .workloads
                 .into_iter()
                 .chain(assignment.mirror_workloads)
                 .collect();
-            Some(replay_closed_loop_detailed(
-                &device_cfg,
-                &host,
-                &workloads,
-                trace_name,
-            ))
+            // Only the tolerance pass reads requests one by one, and only
+            // the primary streams' (mirror write streams are not logical
+            // requests).
+            let mut logical = Vec::new();
+            let report = replay_closed_loop_with(&device_cfg, &host, &workloads, trace_name, |o| {
+                if tolerance && o.tenant < primary_n {
+                    logical.push(LogicalRequest {
+                        device,
+                        arrival_ns: o.arrival_ns,
+                        admit_ns: o.admit_ns,
+                        dispatch_ns: o.dispatch_ns,
+                        completion_ns: o.completion_ns,
+                        is_read: workloads[o.tenant][o.seq].op == OpKind::Read,
+                    });
+                }
+            });
+            Some((report, logical))
         },
     );
 
-    let per_device: Vec<Option<ClosedLoopReport>> = per_device_detailed
-        .iter()
-        .map(|slot| slot.as_ref().map(|(r, _)| r.clone()))
-        .collect();
+    let (per_device, logical): (Vec<Option<ClosedLoopReport>>, Vec<Vec<LogicalRequest>>) = runs
+        .into_iter()
+        .map(|run| match run {
+            Some((report, logical)) => (Some(report), logical),
+            None => (None, Vec::new()),
+        })
+        .unzip();
     let ctx = MergeContext {
         replication: spec.replication.label().to_string(),
         fault_plan: plan.label(),
@@ -209,26 +213,13 @@ pub fn run_fleet_detailed(
 
     if tolerance {
         let _span = span(Phase::HostArbitration);
-        let mut requests: Vec<LogicalRequest> = Vec::with_capacity(base.len());
+        // Device by device, each in completion order.
+        let mut requests = logical.concat();
         let mut profiles = vec![DeviceProfile::default(); spec.devices];
-        for (device, slot) in per_device_detailed.iter_mut().enumerate() {
-            let Some((rep, outcomes)) = slot else {
-                continue;
-            };
-            profiles[device].mean_service_ns = rep.host.overall_service_latency().mean_ns() as u64;
-            let primary_n = primary_streams[device];
-            for o in outcomes.iter() {
-                if o.tenant >= primary_n {
-                    continue; // mirror write stream: not a logical request
-                }
-                requests.push(LogicalRequest {
-                    device,
-                    arrival_ns: o.arrival_ns,
-                    admit_ns: o.admit_ns,
-                    dispatch_ns: o.dispatch_ns,
-                    completion_ns: o.completion_ns,
-                    is_read: primary_ops[device][o.tenant][o.seq] == OpKind::Read,
-                });
+        for (device, slot) in per_device.iter().enumerate() {
+            if let Some(rep) = slot {
+                profiles[device].mean_service_ns =
+                    rep.host.overall_service_latency().mean_ns() as u64;
             }
         }
         let mut outcome = run_tolerance(

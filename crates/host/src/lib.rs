@@ -12,7 +12,9 @@
 //! The engine is device-agnostic: [`run_closed_loop`] drives queues and
 //! arbitration, delegating each dispatched request to a callback that returns
 //! its completion time. `ipu-sim` supplies the real FTL + flash device as
-//! that callback in `ipu_sim::replay_closed_loop`.
+//! that callback in `ipu_sim::replay_closed_loop`, through
+//! [`run_closed_loop_with`], which reads the request streams in place and
+//! hands each outcome to a sink instead of logging it.
 //!
 //! ```
 //! use ipu_host::{run_closed_loop, HostConfig};
@@ -43,4 +45,4 @@ pub use config::{ArbitrationPolicy, HostConfig, TenantSpec};
 pub use metrics::{
     fairness_ratio, LatencyStats, OccupancyHistogram, ReliabilityStats, TenantMetrics,
 };
-pub use queue::{run_closed_loop, HostReport, RequestOutcome};
+pub use queue::{run_closed_loop, run_closed_loop_with, HostReport, RequestOutcome};

@@ -12,6 +12,15 @@
 //! completion time; the engine owns all queueing, arbitration, admission and
 //! metric bookkeeping, which keeps it independently testable with synthetic
 //! service-time models.
+//!
+//! [`run_closed_loop_with`] keeps no per-request log. It borrows each
+//! tenant's request stream as it is, reading arrival times through an
+//! accessor, and hands each request's [`RequestOutcome`] to a sink as the
+//! request completes; only the completions of the current simulated instant
+//! are buffered, to put them in `(tenant, seq)` order. A caller keeps what
+//! it needs: latency populations, a filtered log, nothing.
+//! [`run_closed_loop`] is the same engine over plain arrival times, with a
+//! sink that collects the whole log.
 
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -69,11 +78,11 @@ impl HostReport {
 /// they alone decide the heap order; the times fill its outcome record.
 type Pending = (Nanos, usize, usize, Nanos, Nanos, Nanos);
 
-/// Per-tenant run state.
-struct TenantQueue {
-    /// Sorted request arrival times; `next_arrival` indexes the first not yet
-    /// admitted.
-    arrivals: Vec<Nanos>,
+/// Per-tenant run state, over the tenant's borrowed request stream.
+struct TenantQueue<'a, T> {
+    /// Requests sorted by arrival time; `next_arrival` indexes the first not
+    /// yet admitted.
+    arrivals: &'a [T],
     next_arrival: usize,
     /// Admitted, waiting for the dispatcher: `(seq, arrival_ns, admit_ns)`.
     submitted: VecDeque<(usize, Nanos, Nanos)>,
@@ -82,7 +91,7 @@ struct TenantQueue {
     metrics: TenantMetrics,
 }
 
-impl TenantQueue {
+impl<T> TenantQueue<'_, T> {
     fn occupancy(&self) -> usize {
         self.submitted.len() + self.inflight
     }
@@ -102,34 +111,53 @@ impl TenantQueue {
 pub fn run_closed_loop(
     cfg: &HostConfig,
     arrivals: &[Vec<Nanos>],
-    mut service: impl FnMut(usize, usize, Nanos) -> Nanos,
+    service: impl FnMut(usize, usize, Nanos) -> Nanos,
 ) -> (HostReport, Vec<RequestOutcome>) {
+    let mut outcomes = Vec::with_capacity(arrivals.iter().map(Vec::len).sum());
+    let report = run_closed_loop_with(cfg, arrivals, |&t| t, service, |o| outcomes.push(*o));
+    (report, outcomes)
+}
+
+/// [`run_closed_loop`] over streams of any request type, without a log.
+/// `streams[t]` is tenant `t`'s requests, sorted by `arrival_ns(request)`;
+/// `seq` indexes into it. `on_complete` receives every request's outcome
+/// once, in completion order: by `(completion, tenant, seq)`, which is
+/// unique. Returns the per-tenant report.
+pub fn run_closed_loop_with<T>(
+    cfg: &HostConfig,
+    streams: &[Vec<T>],
+    arrival_ns: impl Fn(&T) -> Nanos,
+    mut service: impl FnMut(usize, usize, Nanos) -> Nanos,
+    mut on_complete: impl FnMut(&RequestOutcome),
+) -> HostReport {
     // Covers the whole closed loop; the FTL/device work the service callback
     // performs opens its own (nested) spans, so exclusive-time accounting
     // leaves this span with just the queue/arbitration/admission machinery.
     let _span = ipu_obs::span(ipu_obs::Phase::HostArbitration);
     assert_eq!(
-        arrivals.len(),
+        streams.len(),
         cfg.tenants.len(),
         "one arrival stream per configured tenant"
     );
-    for stream in arrivals {
+    for stream in streams {
         assert!(
-            stream.windows(2).all(|w| w[0] <= w[1]),
+            stream
+                .windows(2)
+                .all(|w| arrival_ns(&w[0]) <= arrival_ns(&w[1])),
             "arrival times must be sorted"
         );
     }
 
     let depth = cfg.queue_depth;
-    let mut queues: Vec<TenantQueue> = cfg
+    let mut queues: Vec<TenantQueue<T>> = cfg
         .tenants
         .iter()
-        .zip(arrivals)
-        .map(|(spec, arr)| {
+        .zip(streams)
+        .map(|(spec, stream)| {
             let mut metrics = TenantMetrics::new(spec.name.clone(), depth);
-            metrics.first_arrival_ns = arr.first().copied().unwrap_or(0);
+            metrics.first_arrival_ns = stream.first().map_or(0, &arrival_ns);
             TenantQueue {
-                arrivals: arr.clone(),
+                arrivals: stream,
                 next_arrival: 0,
                 submitted: VecDeque::new(),
                 inflight: 0,
@@ -143,7 +171,8 @@ pub fn run_closed_loop(
     // flips `BinaryHeap`'s max ordering.
     use std::cmp::Reverse;
     let mut completions: BinaryHeap<Reverse<Pending>> = BinaryHeap::new();
-    let mut outcomes: Vec<RequestOutcome> = Vec::with_capacity(arrivals.iter().map(Vec::len).sum());
+    // The current instant's completions, reused from instant to instant.
+    let mut done: Vec<RequestOutcome> = Vec::new();
     let mut dispatcher_free: Nanos = 0;
     let mut now: Nanos = 0;
     let mut ready = vec![false; queues.len()];
@@ -153,7 +182,6 @@ pub fn run_closed_loop(
         // order: completions free slots → admissions fill them → the
         // dispatcher drains submitted work. Dispatching may produce another
         // same-instant completion, so iterate to a fixpoint.
-        let instant_start = outcomes.len();
         loop {
             let mut progressed = false;
 
@@ -167,7 +195,7 @@ pub fn run_closed_loop(
                 }
                 completions.pop();
                 queues[tenant].inflight -= 1;
-                outcomes.push(RequestOutcome {
+                done.push(RequestOutcome {
                     tenant,
                     seq,
                     arrival_ns: arrival,
@@ -180,10 +208,10 @@ pub fn run_closed_loop(
 
             for q in queues.iter_mut() {
                 while q.next_arrival < q.arrivals.len()
-                    && q.arrivals[q.next_arrival] <= now
+                    && arrival_ns(&q.arrivals[q.next_arrival]) <= now
                     && q.occupancy() < depth
                 {
-                    let arrival = q.arrivals[q.next_arrival];
+                    let arrival = arrival_ns(&q.arrivals[q.next_arrival]);
                     q.next_arrival += 1;
                     let admit = now;
                     if admit > arrival {
@@ -226,15 +254,17 @@ pub fn run_closed_loop(
         }
         // A service that completes at its own dispatch instant pops in a
         // later pass than earlier same-instant completions, possibly after a
-        // larger (tenant, seq). Sorting this instant's few records keeps the
-        // whole log in (completion, tenant, seq) order.
-        outcomes[instant_start..].sort_unstable_by_key(|o| (o.tenant, o.seq));
+        // larger (tenant, seq). Sorting this instant's few records hands the
+        // sink every outcome in (completion, tenant, seq) order.
+        done.sort_unstable_by_key(|o| (o.tenant, o.seq));
+        done.iter().for_each(&mut on_complete);
+        done.clear();
 
         // Next instant anything can happen.
         let mut next: Option<Nanos> = completions.peek().map(|&Reverse((t, ..))| t);
         for q in &queues {
             if q.next_arrival < q.arrivals.len() && q.occupancy() < depth {
-                let t = q.arrivals[q.next_arrival];
+                let t = arrival_ns(&q.arrivals[q.next_arrival]);
                 next = Some(next.map_or(t, |n| n.min(t)));
             }
         }
@@ -258,7 +288,7 @@ pub fn run_closed_loop(
     }
 
     let tenants: Vec<TenantMetrics> = queues.into_iter().map(|q| q.metrics).collect();
-    let report = HostReport {
+    HostReport {
         queue_depth: depth,
         arbitration: cfg.arbitration.label().to_string(),
         fairness: fairness_ratio(&tenants),
@@ -268,8 +298,7 @@ pub fn run_closed_loop(
             .max()
             .unwrap_or(0),
         tenants,
-    };
-    (report, outcomes)
+    }
 }
 
 #[cfg(test)]

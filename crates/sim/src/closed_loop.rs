@@ -7,8 +7,16 @@
 //! that: per-tenant bounded submission queues, an arbitration policy across
 //! tenants, and admission that waits for queue slots — so arrival times
 //! shift under backpressure and per-tenant QoS becomes measurable.
+//!
+//! The replay keeps no per-request log and makes no copy of the request
+//! streams: the host engine reads arrival times from the streams in place
+//! and hands each completed request's outcome to a sink, which records the
+//! read, write and admission-stall populations and then passes the outcome
+//! on to the caller's own sink ([`replay_closed_loop_with`]). The overall
+//! service latency and the request count come from the host report's
+//! per-tenant metrics, which hold the same populations.
 
-use ipu_host::{run_closed_loop, HostConfig, HostReport, RequestOutcome};
+use ipu_host::{run_closed_loop_with, HostConfig, HostReport, RequestOutcome};
 use ipu_trace::{IoRequest, OpKind};
 use serde::{Deserialize, Serialize};
 
@@ -45,18 +53,20 @@ pub fn replay_closed_loop(
     workloads: &[Vec<IoRequest>],
     trace_name: &str,
 ) -> ClosedLoopReport {
-    replay_closed_loop_detailed(cfg, host, workloads, trace_name).0
+    replay_closed_loop_with(cfg, host, workloads, trace_name, |_| {})
 }
 
-/// [`replay_closed_loop`] returning the per-request outcome log as well —
-/// arrival, admission, dispatch and completion times for every request, in
-/// completion order.
-pub fn replay_closed_loop_detailed(
+/// [`replay_closed_loop`] handing every request's outcome (arrival,
+/// admission, dispatch and completion times, and `(tenant, seq)` to find the
+/// request in `workloads`) to `on_complete`, once, in completion order: by
+/// `(completion, tenant, seq)`.
+pub fn replay_closed_loop_with(
     cfg: &ReplayConfig,
     host: &HostConfig,
     workloads: &[Vec<IoRequest>],
     trace_name: &str,
-) -> (ClosedLoopReport, Vec<RequestOutcome>) {
+    mut on_complete: impl FnMut(&RequestOutcome),
+) -> ClosedLoopReport {
     assert_eq!(
         workloads.len(),
         host.tenants.len(),
@@ -67,43 +77,57 @@ pub fn replay_closed_loop_detailed(
     let mut ftl = cfg.scheme.build(&mut dev, cfg.ftl.clone());
     let mut core = EventCore::new(cfg.device.geometry.total_chips(), cfg.timing);
     let mut reliability = ReliabilityStats::new();
-
-    let arrivals: Vec<Vec<u64>> = workloads
-        .iter()
-        .map(|w| w.iter().map(|r| r.timestamp_ns).collect())
-        .collect();
+    // Queue service latency (admission→completion) split by op kind, plus
+    // the admission stall (arrival→admission) as its own population.
+    let mut read_latency = LatencyStats::new();
+    let mut write_latency = LatencyStats::new();
+    let mut queue_latency = LatencyStats::new();
 
     // One batch reused across every dispatched request (cleared per call).
     let mut batch = ipu_ftl::OpBatch::new();
-    let (host_report, outcomes) = run_closed_loop(host, &arrivals, |tenant, seq, dispatch| {
-        // The FTL sees the request as if it arrived at dispatch time — in a
-        // closed loop the device never learns the host wanted to send it
-        // earlier.
-        let mut req = workloads[tenant][seq];
-        req.timestamp_ns = dispatch;
-        batch.clear();
-        match req.op {
-            OpKind::Write => {
-                let _span = ipu_obs::span(ipu_obs::Phase::FtlWrite);
-                ftl.on_write_into(&req, dispatch, &mut dev, &mut batch);
+    let host_report = run_closed_loop_with(
+        host,
+        workloads,
+        |req| req.timestamp_ns,
+        |tenant, seq, dispatch| {
+            // The FTL sees the request as if it arrived at dispatch time — in
+            // a closed loop the device never learns the host wanted to send
+            // it earlier.
+            let mut req = workloads[tenant][seq];
+            req.timestamp_ns = dispatch;
+            batch.clear();
+            match req.op {
+                OpKind::Write => {
+                    let _span = ipu_obs::span(ipu_obs::Phase::FtlWrite);
+                    ftl.on_write_into(&req, dispatch, &mut dev, &mut batch);
+                }
+                OpKind::Read => {
+                    let _span = ipu_obs::span(ipu_obs::Phase::FtlRead);
+                    ftl.on_read_into(&req, dispatch, &mut dev, &mut batch);
+                }
+            };
+            match batch.status {
+                ipu_ftl::ReqStatus::Success => reliability.record_success(),
+                ipu_ftl::ReqStatus::Recovered => reliability.record_recovered(),
+                ipu_ftl::ReqStatus::Failed => reliability.record_failed(),
             }
-            OpKind::Read => {
-                let _span = ipu_obs::span(ipu_obs::Phase::FtlRead);
-                ftl.on_read_into(&req, dispatch, &mut dev, &mut batch);
+            // Run every background pulse that starts before this dispatch
+            // (the host loop re-evaluates admission as completions land),
+            // then dispatch onto the event core.
+            let _span = ipu_obs::span(ipu_obs::Phase::EventCore);
+            core.advance_to(dispatch);
+            core.dispatch(dispatch, &batch, req.op)
+        },
+        |o| {
+            let latency = o.completion_ns - o.admit_ns;
+            queue_latency.record(o.admit_ns - o.arrival_ns);
+            match workloads[o.tenant][o.seq].op {
+                OpKind::Read => read_latency.record(latency),
+                OpKind::Write => write_latency.record(latency),
             }
-        };
-        match batch.status {
-            ipu_ftl::ReqStatus::Success => reliability.record_success(),
-            ipu_ftl::ReqStatus::Recovered => reliability.record_recovered(),
-            ipu_ftl::ReqStatus::Failed => reliability.record_failed(),
-        }
-        // Run every background pulse that starts before this dispatch (the
-        // host loop re-evaluates admission as completions land), then
-        // dispatch onto the event core.
-        let _span = ipu_obs::span(ipu_obs::Phase::EventCore);
-        core.advance_to(dispatch);
-        core.dispatch(dispatch, &batch, req.op)
-    });
+            on_complete(o);
+        },
+    );
 
     // Run the queued background work before reporting (matches the
     // open-loop engine's report-time accounting).
@@ -112,35 +136,21 @@ pub fn replay_closed_loop_detailed(
         core.finish();
     }
 
-    // Queue service latency (admission→completion) split by op kind, plus
-    // the admission stall (arrival→admission) as its own population.
-    let mut read_latency = LatencyStats::new();
-    let mut write_latency = LatencyStats::new();
-    let mut overall_latency = LatencyStats::new();
-    let mut queue_latency = LatencyStats::new();
-    for o in &outcomes {
-        let latency = o.completion_ns - o.admit_ns;
-        overall_latency.record(latency);
-        queue_latency.record(o.admit_ns - o.arrival_ns);
-        match workloads[o.tenant][o.seq].op {
-            OpKind::Read => read_latency.record(latency),
-            OpKind::Write => write_latency.record(latency),
-        }
-    }
-
     let mapping = ftl.mapping_memory(&dev);
     let sim = SimReport {
         scheme: cfg.scheme,
         trace: trace_name.to_string(),
         read_latency,
         write_latency,
-        overall_latency,
+        // Each tenant's service latency records the same admission→
+        // completion times, so their merge is the whole population.
+        overall_latency: host_report.overall_service_latency(),
         ftl: ftl.stats().clone(),
         device: dev.counters(),
         wear: dev.wear().totals(),
         mapping,
         simulated_horizon_ns: core.horizon(),
-        requests: outcomes.len() as u64,
+        requests: host_report.total_completed(),
         busy: BusyBreakdown {
             host_write_ns: core.host_busy(),
             host_read_ns: core.read_busy(),
@@ -148,14 +158,11 @@ pub fn replay_closed_loop_detailed(
         },
         reliability,
     };
-    (
-        ClosedLoopReport {
-            sim,
-            host: host_report,
-            queue_latency,
-        },
-        outcomes,
-    )
+    ClosedLoopReport {
+        sim,
+        host: host_report,
+        queue_latency,
+    }
 }
 
 #[cfg(test)]
@@ -187,8 +194,11 @@ mod tests {
             let cfg = ReplayConfig::small_for_tests(scheme);
             let host = HostConfig::single(1);
             let reqs = workload(40, 0, 1_000); // bursty: device outpaced
-            let (closed, outcomes) =
-                replay_closed_loop_detailed(&cfg, &host, std::slice::from_ref(&reqs), "t");
+            let mut outcomes = Vec::new();
+            let closed =
+                replay_closed_loop_with(&cfg, &host, std::slice::from_ref(&reqs), "t", |o| {
+                    outcomes.push(*o)
+                });
 
             // Rebuild the serialized request stream open-loop style.
             let mut serialized = Vec::new();
@@ -277,8 +287,10 @@ mod tests {
         let burst: Vec<IoRequest> = (0..24)
             .map(|i| IoRequest::new(0, OpKind::Write, (i % 8) * 65536, 4096))
             .collect();
-        let (closed, outcomes) =
-            replay_closed_loop_detailed(&cfg, &host, std::slice::from_ref(&burst), "b");
+        let mut outcomes = Vec::new();
+        let closed = replay_closed_loop_with(&cfg, &host, std::slice::from_ref(&burst), "b", |o| {
+            outcomes.push(*o)
+        });
 
         for o in &outcomes {
             let submission = o.completion_ns - o.arrival_ns;
@@ -308,6 +320,75 @@ mod tests {
             closed.host.tenants[0].admission_stall_ns,
             closed.queue_latency.sum_ns()
         );
+    }
+
+    /// `report` with its latency populations and request count rebuilt from
+    /// the outcome log, one pass over the log, the way the replay built them
+    /// before it streamed outcomes.
+    fn rebuilt_from_log(
+        report: &ClosedLoopReport,
+        workloads: &[Vec<IoRequest>],
+        outcomes: &[RequestOutcome],
+    ) -> ClosedLoopReport {
+        let mut read_latency = LatencyStats::new();
+        let mut write_latency = LatencyStats::new();
+        let mut overall_latency = LatencyStats::new();
+        let mut queue_latency = LatencyStats::new();
+        for o in outcomes {
+            let latency = o.completion_ns - o.admit_ns;
+            overall_latency.record(latency);
+            queue_latency.record(o.admit_ns - o.arrival_ns);
+            match workloads[o.tenant][o.seq].op {
+                OpKind::Read => read_latency.record(latency),
+                OpKind::Write => write_latency.record(latency),
+            }
+        }
+        let mut rebuilt = report.clone();
+        rebuilt.sim.read_latency = read_latency;
+        rebuilt.sim.write_latency = write_latency;
+        rebuilt.sim.overall_latency = overall_latency;
+        rebuilt.sim.requests = outcomes.len() as u64;
+        rebuilt.queue_latency = queue_latency;
+        rebuilt
+    }
+
+    /// The report the sink builds, with the overall latency merged from the
+    /// tenants, serializes exactly as one rebuilt from the whole outcome log.
+    #[test]
+    fn sink_report_serializes_like_the_log_rebuild() {
+        let wl: Vec<Vec<IoRequest>> = (0..4)
+            .map(|t| workload(40, t << 24, 3_000 + 1_000 * t))
+            .collect();
+        for policy in [
+            ArbitrationPolicy::RoundRobin,
+            ArbitrationPolicy::WeightedRoundRobin,
+            ArbitrationPolicy::StrictPriority,
+        ] {
+            let tenants: Vec<TenantSpec> = (0..4u32)
+                .map(|t| {
+                    TenantSpec::new(format!("t{t}"))
+                        .with_weight(4 >> t.min(2))
+                        .with_priority(t / 2)
+                })
+                .collect();
+            for (qd, overhead) in [(1, 0), (4, 0), (4, 2_000)] {
+                let host =
+                    HostConfig::new(qd, policy, tenants.clone()).with_dispatch_overhead(overhead);
+                for scheme in [SchemeKind::Baseline, SchemeKind::Ipu] {
+                    let cfg = ReplayConfig::small_for_tests(scheme);
+                    let mut outcomes = Vec::new();
+                    let report =
+                        replay_closed_loop_with(&cfg, &host, &wl, "t", |o| outcomes.push(*o));
+                    assert_eq!(outcomes.len(), 160);
+                    let sink = serde_json::to_string(&report).unwrap();
+                    let log =
+                        serde_json::to_string(&rebuilt_from_log(&report, &wl, &outcomes)).unwrap();
+                    assert_eq!(sink, log, "{policy:?} qd {qd} +{overhead} ns {scheme}");
+                    let plain = replay_closed_loop(&cfg, &host, &wl, "t");
+                    assert_eq!(serde_json::to_string(&plain).unwrap(), sink);
+                }
+            }
+        }
     }
 
     #[test]

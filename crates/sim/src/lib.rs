@@ -25,7 +25,7 @@ pub mod event_core;
 pub mod power_loss;
 pub mod resources;
 
-pub use closed_loop::{replay_closed_loop, replay_closed_loop_detailed, ClosedLoopReport};
+pub use closed_loop::{replay_closed_loop, replay_closed_loop_with, ClosedLoopReport};
 pub use engine::{replay, replay_oracle, replay_with_progress, ReplayConfig, SimReport};
 pub use event_core::{EventCore, GcMode, TimingConfig};
 // The latency/reliability histogram implementations live in `ipu-host` (the
