@@ -6,8 +6,12 @@ Usage: python3 ci/perf_pairs.py --base REV [--pairs N] [--seconds S]
            [--work-dir D] [--out F]
 
 Builds the benchmark (`perfbench/`) twice, into separate target
-directories: once from REV, exported with `git archive` into the work
-directory, and once from the working tree. Then, for each workload, it runs
+directories, both from one source directory in the work directory: first
+from REV, exported there with `git archive`, then from the working tree
+(tracked, modified and untracked files; ignored ones are left out), copied
+over it. Built from one path, identical sources give identical binaries;
+from two paths the binaries' layouts differ, which moves timings by a few
+percent. Then, for each workload, it runs
 N pairs. Pair k runs seed K+k for S seconds on both builds, one after the
 other; which build goes first alternates from pair to pair, so a slow
 stretch of the machine does not always land on the same side.
@@ -43,9 +47,11 @@ work differs is reported, with its timing verdict, but does not fail the
 run. Appending golden lines moves no existing output and excuses nothing.
 
 Only the Python standard library is used. Run it from the repository root.
-The work directory (default `target/perf_pairs`) keeps the exported tree
-and both builds, so a second invocation against the same REV only rebuilds
-what changed in the working tree.
+The work directory (default `target/perf_pairs`) keeps both builds. Each
+export keeps its files' times (REV's commit time, the working tree's own
+modification times), so Cargo rebuilds only what changed since the side's
+last build, and a second invocation against the same REV only rebuilds what
+changed in the working tree.
 """
 
 import argparse
@@ -53,6 +59,7 @@ import io
 import json
 import math
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -77,15 +84,31 @@ def git(*args):
 
 
 def export_tree(rev, dest):
-    """Writes the tree of `rev` into `dest` (once per commit)."""
-    if os.path.isdir(dest):
-        return
+    """Replaces `dest` with the tree of `rev`, every file dated at the
+    commit."""
     tar = subprocess.run(["git", "archive", "--format=tar", rev],
                          stdout=subprocess.PIPE, check=True).stdout
-    tmp = dest + ".partial"
+    shutil.rmtree(dest, ignore_errors=True)
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(tmp, filter="data")
-    os.rename(tmp, dest)
+        archive.extractall(dest, filter="data")
+
+
+def export_worktree(dest, skip):
+    """Replaces `dest` with the working tree: tracked files as they are now
+    (deleted ones left out) and untracked ones, not the ignored ones, each
+    with its own modification time. Nothing under the directory `skip` is
+    copied, should the tree hold it unignored."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"],
+                            stdout=subprocess.PIPE, check=True).stdout
+    shutil.rmtree(dest, ignore_errors=True)
+    skip = os.path.abspath(skip) + os.sep
+    for path in sorted(set(os.fsdecode(listed).split("\0"))):
+        if not os.path.isfile(path) or os.path.abspath(path).startswith(skip):
+            continue
+        target = os.path.join(dest, path)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        shutil.copy2(path, target)
 
 
 def build(tree, target):
@@ -252,12 +275,11 @@ def main():
     sha = git("rev-parse", "--verify", args.base + "^{commit}")
     work = os.path.abspath(args.work_dir)
     os.makedirs(work, exist_ok=True)
-    base_tree = os.path.join(work, "tree-" + sha[:12])
-    export_tree(sha, base_tree)
-    exes = {
-        "base": build(base_tree, os.path.join(work, "target-" + sha[:12])),
-        "change": build(os.getcwd(), os.path.join(work, "target-change")),
-    }
+    source = os.path.join(work, "src")
+    export_tree(sha, source)
+    exes = {"base": build(source, os.path.join(work, "target-" + sha[:12]))}
+    export_worktree(source, work)
+    exes["change"] = build(source, os.path.join(work, "target-change"))
     print(f"base {sha[:12]} vs working tree: {args.pairs} pairs x {args.seconds} s, "
           f"seeds {args.first_seed}..{args.first_seed + args.pairs - 1}, trace {args.trace}")
 

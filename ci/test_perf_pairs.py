@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Unit tests for the regression verdict in ci/perf_pairs.py.
+"""Unit tests for the regression verdict and the source exports in
+ci/perf_pairs.py.
 
 Run from the repository root: python3 ci/test_perf_pairs.py
 
 The verdict is exercised on synthetic pairs; nothing is built or
-benchmarked. One test makes a throwaway git repository.
+benchmarked. Two tests make a throwaway git repository.
 """
 
 import os
@@ -194,6 +195,73 @@ class GoldensChanged(unittest.TestCase):
                 with open(perf_pairs.GOLDENS, "w") as f:
                     f.write("")
                 self.assertTrue(perf_pairs.goldens_changed("HEAD"))
+            finally:
+                os.chdir(cwd)
+
+
+class OneSourcePath(unittest.TestCase):
+    def test_both_sides_export_to_one_path_with_their_own_times(self):
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as repo:
+            os.chdir(repo)
+            try:
+                def git(*args):
+                    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                                    *args], check=True, stdout=subprocess.DEVNULL)
+
+                def write(path, text, mtime):
+                    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+                    with open(path, "w") as f:
+                        f.write(text)
+                    os.utime(path, (mtime, mtime))
+
+                def tree(root):
+                    found = {}
+                    for top, _, names in os.walk(root):
+                        for name in names:
+                            path = os.path.join(top, name)
+                            with open(path) as f:
+                                found[os.path.relpath(path, root)] = (
+                                    f.read(), os.stat(path).st_mtime)
+                    return found
+
+                git("init", "-q")
+                write(".gitignore", "*.log\n", 1000)
+                write("src/kept.rs", "kept\n", 1000)
+                write("src/edited.rs", "old\n", 1000)
+                write("gone.rs", "gone\n", 1000)
+                git("add", "-A")
+                git("commit", "-q", "-m", "base")
+                write("src/edited.rs", "new\n", 3000)
+                write("src/added.rs", "added\n", 4000)
+                write("run.log", "ignored\n", 5000)
+                write("work/target-change/stale", "build output\n", 6000)
+                os.remove("gone.rs")
+                dest = os.path.join("work", "src")
+
+                perf_pairs.export_tree("HEAD", dest)
+                base = tree(dest)
+                self.assertEqual(sorted(base), [".gitignore", "gone.rs", "src/edited.rs",
+                                                "src/kept.rs"])
+                self.assertEqual(base["src/edited.rs"][0], "old\n")
+                # Every file carries the commit's time.
+                self.assertEqual(len({mtime for _, mtime in base.values()}), 1)
+
+                # The working tree replaces the base at the same path: edits
+                # and untracked files in, deleted and ignored files out, and
+                # nothing from the (here unignored) work directory, each file
+                # with its own time.
+                perf_pairs.export_worktree(dest, "work")
+                self.assertEqual(tree(dest), {
+                    ".gitignore": ("*.log\n", 1000),
+                    "src/added.rs": ("added\n", 4000),
+                    "src/edited.rs": ("new\n", 3000),
+                    "src/kept.rs": ("kept\n", 1000),
+                })
+
+                # Exporting the base again restores its files and times.
+                perf_pairs.export_tree("HEAD", dest)
+                self.assertEqual(tree(dest), base)
             finally:
                 os.chdir(cwd)
 
