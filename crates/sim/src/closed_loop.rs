@@ -20,9 +20,9 @@ use ipu_host::{run_closed_loop_with, HostConfig, HostReport, RequestOutcome};
 use ipu_trace::{IoRequest, OpKind};
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{BusyBreakdown, ReplayConfig, SimReport};
-use crate::event_core::EventCore;
-use ipu_host::metrics::{LatencyStats, ReliabilityStats};
+use crate::drive::Drive;
+use crate::engine::{ReplayConfig, SimReport};
+use ipu_host::metrics::LatencyStats;
 
 /// Result of one closed-loop run: the device-side aggregates of an open-loop
 /// [`SimReport`] plus the host-side per-tenant QoS report.
@@ -73,51 +73,20 @@ pub fn replay_closed_loop_with(
         "one workload per configured tenant"
     );
 
-    let mut dev = ipu_flash::FlashDevice::new(cfg.device.clone());
-    let mut ftl = cfg.scheme.build(&mut dev, cfg.ftl.clone());
-    let mut core = EventCore::new(cfg.device.geometry.total_chips(), cfg.timing);
-    let mut reliability = ReliabilityStats::new();
+    let mut drive = Drive::new(cfg);
     // Queue service latency (admission→completion) split by op kind, plus
     // the admission stall (arrival→admission) as its own population.
     let mut read_latency = LatencyStats::new();
     let mut write_latency = LatencyStats::new();
     let mut queue_latency = LatencyStats::new();
 
-    // One batch reused across every dispatched request (cleared per call).
-    let mut batch = ipu_ftl::OpBatch::new();
     let host_report = run_closed_loop_with(
         host,
         workloads,
         |req| req.timestamp_ns,
-        |tenant, seq, dispatch| {
-            // The FTL sees the request as if it arrived at dispatch time — in
-            // a closed loop the device never learns the host wanted to send
-            // it earlier.
-            let mut req = workloads[tenant][seq];
-            req.timestamp_ns = dispatch;
-            batch.clear();
-            match req.op {
-                OpKind::Write => {
-                    let _span = ipu_obs::span(ipu_obs::Phase::FtlWrite);
-                    ftl.on_write_into(&req, dispatch, &mut dev, &mut batch);
-                }
-                OpKind::Read => {
-                    let _span = ipu_obs::span(ipu_obs::Phase::FtlRead);
-                    ftl.on_read_into(&req, dispatch, &mut dev, &mut batch);
-                }
-            };
-            match batch.status {
-                ipu_ftl::ReqStatus::Success => reliability.record_success(),
-                ipu_ftl::ReqStatus::Recovered => reliability.record_recovered(),
-                ipu_ftl::ReqStatus::Failed => reliability.record_failed(),
-            }
-            // Run every background pulse that starts before this dispatch
-            // (the host loop re-evaluates admission as completions land),
-            // then dispatch onto the event core.
-            let _span = ipu_obs::span(ipu_obs::Phase::EventCore);
-            core.advance_to(dispatch);
-            core.dispatch(dispatch, &batch, req.op)
-        },
+        // The device serves each request at its dispatch time: in a closed
+        // loop it never learns the host wanted to send it earlier.
+        |tenant, seq, dispatch| drive.serve(&workloads[tenant][seq], dispatch),
         |o| {
             let latency = o.completion_ns - o.admit_ns;
             queue_latency.record(o.admit_ns - o.arrival_ns);
@@ -129,35 +98,14 @@ pub fn replay_closed_loop_with(
         },
     );
 
-    // Run the queued background work before reporting (matches the
-    // open-loop engine's report-time accounting).
-    {
-        let _span = ipu_obs::span(ipu_obs::Phase::EventCore);
-        core.finish();
-    }
-
-    let mapping = ftl.mapping_memory(&dev);
-    let sim = SimReport {
-        scheme: cfg.scheme,
-        trace: trace_name.to_string(),
-        read_latency,
-        write_latency,
-        // Each tenant's service latency records the same admission→
-        // completion times, so their merge is the whole population.
-        overall_latency: host_report.overall_service_latency(),
-        ftl: ftl.stats().clone(),
-        device: dev.counters(),
-        wear: dev.wear().totals(),
-        mapping,
-        simulated_horizon_ns: core.horizon(),
-        requests: host_report.total_completed(),
-        busy: BusyBreakdown {
-            host_write_ns: core.host_busy(),
-            host_read_ns: core.read_busy(),
-            background_ns: core.background_done(),
-        },
-        reliability,
-    };
+    // Each tenant's service latency records the same admission→completion
+    // times, so their merge is the whole population.
+    let overall_latency = host_report.overall_service_latency();
+    let sim = drive.into_report(
+        trace_name,
+        host_report.total_completed(),
+        [read_latency, write_latency, overall_latency],
+    );
     ClosedLoopReport {
         sim,
         host: host_report,

@@ -9,7 +9,8 @@ use ipu_ftl::{FtlConfig, FtlStats, MappingMemory, OpBatch, SchemeKind};
 use ipu_trace::{IoRequest, OpKind};
 use serde::{Deserialize, Serialize};
 
-use crate::event_core::{EventCore, TimingConfig};
+use crate::drive::Drive;
+use crate::event_core::TimingConfig;
 use crate::resources::ChipSchedule;
 use ipu_host::metrics::{LatencyStats, ReliabilityStats};
 
@@ -145,56 +146,22 @@ pub fn replay(cfg: &ReplayConfig, requests: &[IoRequest], trace_name: &str) -> S
 /// completed requests, plus exactly one final call at `(total, total)` (also
 /// for empty traces).
 ///
-/// The replay runs on the discrete-event core ([`EventCore`]): requests
-/// issue in the already-sorted stream's order, and before each one the core
-/// runs the queued GC / wear-leveling pulses whose start has passed. With
-/// the default [`TimingConfig`] the timeline is bit-identical to
-/// [`replay_oracle`] (pinned by the `event_core_equivalence` property test).
+/// The replay runs on the discrete-event core
+/// ([`EventCore`](crate::event_core::EventCore)): requests issue in the
+/// already-sorted stream's order, and before each one the core runs the
+/// queued GC / wear-leveling pulses whose start has passed. With the default
+/// [`TimingConfig`] the timeline is bit-identical to [`replay_oracle`]
+/// (pinned by the `event_core_equivalence` property test).
 pub fn replay_with_progress(
     cfg: &ReplayConfig,
     requests: &[IoRequest],
     trace_name: &str,
     mut progress: impl FnMut(u64, u64),
 ) -> SimReport {
-    let mut dev = FlashDevice::new(cfg.device.clone());
-    let mut ftl = cfg.scheme.build(&mut dev, cfg.ftl.clone());
-    let mut core = EventCore::new(cfg.device.geometry.total_chips(), cfg.timing);
-
-    let mut reliability = ReliabilityStats::new();
-
+    let mut drive = Drive::new(cfg);
     let total = requests.len() as u64;
-    // One batch for the whole replay: `clear()` retains the allocation, so
-    // the FTL appends into an already-sized Vec on every request.
-    let mut batch = OpBatch::new();
     for (i, req) in requests.iter().enumerate() {
-        let now = req.timestamp_ns;
-        batch.clear();
-        match req.op {
-            OpKind::Write => {
-                let _span = ipu_obs::span(ipu_obs::Phase::FtlWrite);
-                ftl.on_write_into(req, now, &mut dev, &mut batch);
-            }
-            OpKind::Read => {
-                let _span = ipu_obs::span(ipu_obs::Phase::FtlRead);
-                ftl.on_read_into(req, now, &mut dev, &mut batch);
-            }
-        };
-        match batch.status {
-            ipu_ftl::ReqStatus::Success => reliability.record_success(),
-            ipu_ftl::ReqStatus::Recovered => reliability.record_recovered(),
-            ipu_ftl::ReqStatus::Failed => reliability.record_failed(),
-        }
-
-        // Run every background pulse that starts before this issue, then
-        // dispatch: host reads get read priority, host writes are serviced
-        // FIFO per chip, and each background round becomes a resumable pulse
-        // sequence.
-        {
-            let _span = ipu_obs::span(ipu_obs::Phase::EventCore);
-            core.advance_to(now);
-            core.dispatch(now, &batch, req.op);
-        }
-
+        drive.serve(req, req.timestamp_ns);
         let done = i as u64 + 1;
         if done.is_multiple_of(65_536) && done < total {
             progress(done, total);
@@ -202,33 +169,13 @@ pub fn replay_with_progress(
     }
     progress(total, total);
 
-    // Run the background work still queued, so the report's accounting is
-    // not cut off by a read-only or idle trace tail.
-    {
-        let _span = ipu_obs::span(ipu_obs::Phase::EventCore);
-        core.finish();
-    }
-
-    let mapping = ftl.mapping_memory(&dev);
-    SimReport {
-        scheme: cfg.scheme,
-        trace: trace_name.to_string(),
-        read_latency: core.read_latency().clone(),
-        write_latency: core.write_latency().clone(),
-        overall_latency: core.overall_latency().clone(),
-        ftl: ftl.stats().clone(),
-        device: dev.counters(),
-        wear: dev.wear().totals(),
-        mapping,
-        simulated_horizon_ns: core.horizon(),
-        requests: total,
-        busy: BusyBreakdown {
-            host_write_ns: core.host_busy(),
-            host_read_ns: core.read_busy(),
-            background_ns: core.background_done(),
-        },
-        reliability,
-    }
+    let core = drive.event_core();
+    let latency = [
+        core.read_latency().clone(),
+        core.write_latency().clone(),
+        core.overall_latency().clone(),
+    ];
+    drive.into_report(trace_name, total, latency)
 }
 
 /// The retained inline oracle engine: dispatches each request against a

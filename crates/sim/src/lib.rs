@@ -20,6 +20,7 @@
 #![forbid(unsafe_code)]
 
 pub mod closed_loop;
+mod drive;
 pub mod engine;
 pub mod event_core;
 pub mod power_loss;

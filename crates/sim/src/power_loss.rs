@@ -14,11 +14,11 @@
 use std::collections::BTreeMap;
 
 use ipu_flash::{FlashDevice, Nanos, Spa};
-use ipu_ftl::{BlockLevel, FtlCore, Lsn, OpBatch};
-use ipu_trace::{IoRequest, OpKind};
+use ipu_ftl::{BlockLevel, FtlCore, Lsn};
+use ipu_trace::IoRequest;
 
+use crate::drive::Drive;
 use crate::engine::ReplayConfig;
-use crate::event_core::EventCore;
 
 /// Durable view of one in-use block: what OOB-based recovery must restore.
 /// Beside the level and open order, these are the cache metadata's ISR
@@ -202,38 +202,16 @@ pub fn replay_with_power_loss(
     trace_name: &str,
 ) -> Result<PowerLossReport, String> {
     let cut = cut.min(requests.len());
-    let mut dev = FlashDevice::new(cfg.device.clone());
-    let mut ftl = cfg.scheme.build(&mut dev, cfg.ftl.clone());
+    let mut drive = Drive::new(cfg);
+    for req in &requests[..cut] {
+        drive.serve(req, req.timestamp_ns);
+    }
 
-    // Each power segment runs on its own event core: the cut drops the
-    // in-flight background rounds along with the volatile FTL state (their
-    // flash-side effects are already durable — the FTL applies state
-    // immediately, timing is the core's job).
-    let run = |ftl: &mut Box<dyn ipu_ftl::FtlScheme>,
-               dev: &mut FlashDevice,
-               core: &mut EventCore,
-               reqs: &[IoRequest]| {
-        let mut batch = OpBatch::new();
-        for req in reqs {
-            let now = req.timestamp_ns;
-            batch.clear();
-            match req.op {
-                OpKind::Write => ftl.on_write_into(req, now, dev, &mut batch),
-                OpKind::Read => ftl.on_read_into(req, now, dev, &mut batch),
-            };
-            core.advance_to(now);
-            core.dispatch(now, &batch, req.op);
-        }
-    };
-
-    let chips = cfg.device.geometry.total_chips();
-    let mut core = EventCore::new(chips, cfg.timing);
-    run(&mut ftl, &mut dev, &mut core, &requests[..cut]);
-    let interrupted_background_ns = core.background_backlog();
-
-    let golden = durable_snapshot(ftl.core(), &dev);
-    ftl.power_cycle(&dev);
-    let rebuilt = durable_snapshot(ftl.core(), &dev);
+    let (ftl, dev) = drive.state();
+    let golden = durable_snapshot(ftl, dev);
+    let interrupted_background_ns = drive.power_cut();
+    let (ftl, dev) = drive.state();
+    let rebuilt = durable_snapshot(ftl, dev);
 
     if let Some(diff) = golden.diff(&rebuilt) {
         return Err(format!(
@@ -241,18 +219,18 @@ pub fn replay_with_power_loss(
             cfg.scheme
         ));
     }
-    ftl.core().check_invariants(&dev).map_err(|e| {
+    ftl.check_invariants(dev).map_err(|e| {
         format!(
             "{trace_name}/{}: invariants broken after rebuild: {e}",
             cfg.scheme
         )
     })?;
 
-    // Power is back: a fresh event core models the restarted device.
-    let mut core = EventCore::new(chips, cfg.timing);
-    run(&mut ftl, &mut dev, &mut core, &requests[cut..]);
-    core.finish();
-    ftl.core().check_invariants(&dev).map_err(|e| {
+    for req in &requests[cut..] {
+        drive.serve(req, req.timestamp_ns);
+    }
+    let (ftl, dev) = drive.state();
+    ftl.check_invariants(dev).map_err(|e| {
         format!(
             "{trace_name}/{}: invariants broken after resume: {e}",
             cfg.scheme
@@ -272,6 +250,7 @@ pub fn replay_with_power_loss(
 mod tests {
     use super::*;
     use ipu_ftl::SchemeKind;
+    use ipu_trace::OpKind;
 
     fn workload(n: u64) -> Vec<IoRequest> {
         (0..n)
@@ -343,16 +322,12 @@ mod tests {
     #[test]
     fn snapshot_diff_reports_divergence() {
         let cfg = ReplayConfig::small_for_tests(SchemeKind::Ipu);
-        let reqs = workload(40);
-        let mut dev = FlashDevice::new(cfg.device.clone());
-        let mut ftl = cfg.scheme.build(&mut dev, cfg.ftl.clone());
-        for req in &reqs {
-            match req.op {
-                OpKind::Write => ftl.on_write(req, req.timestamp_ns, &mut dev),
-                OpKind::Read => ftl.on_read(req, req.timestamp_ns, &mut dev),
-            };
+        let mut drive = Drive::new(&cfg);
+        for req in &workload(40) {
+            drive.serve(req, req.timestamp_ns);
         }
-        let a = durable_snapshot(ftl.core(), &dev);
+        let (ftl, dev) = drive.state();
+        let a = durable_snapshot(ftl, dev);
         assert_eq!(a.diff(&a), None);
         let mut b = a.clone();
         let (&lsn, _) = b.map.iter().next().expect("workload maps data");
