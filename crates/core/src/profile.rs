@@ -205,7 +205,5 @@ mod tests {
         // Wall times differ run to run; the simulated work must not.
         assert_eq!(a.counters, b.counters);
         assert_eq!(a.requests, b.requests);
-        let d = b.counters.diff(&a.counters);
-        assert!(d.is_empty(), "unexpected counter drift: {d:?}");
     }
 }

@@ -1,10 +1,9 @@
-//! Monotonic counter snapshots with diffing.
+//! Monotonic counter snapshots.
 //!
 //! A [`CounterSnapshot`] is a named set of monotonic counter values captured
-//! at one instant — e.g. the summed `FtlStats` fields before and after a
-//! profiled replay. [`CounterSnapshot::diff`] turns two snapshots into the
-//! per-counter deltas for the interval, flagging any counter that moved
-//! backwards (a monotonicity violation worth failing a perf gate over).
+//! at one instant — e.g. the summed `FtlStats` fields after a profiled
+//! replay, which `ipu-sim profile` reports as the counter fingerprint of the
+//! simulated work.
 
 use serde::{Deserialize, Serialize};
 
@@ -13,16 +12,6 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CounterSnapshot {
     counters: Vec<(String, u64)>,
-}
-
-/// One counter's movement between two snapshots.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CounterDelta {
-    pub name: String,
-    pub earlier: u64,
-    pub later: u64,
-    /// `later - earlier`; negative iff the counter regressed.
-    pub delta: i64,
 }
 
 impl CounterSnapshot {
@@ -63,37 +52,6 @@ impl CounterSnapshot {
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty()
     }
-
-    /// Per-counter movement since `earlier`. Counters present in only one
-    /// snapshot are treated as 0 in the other (a counter appearing later is
-    /// growth from zero; one that vanished reads as a regression to zero).
-    pub fn diff(&self, earlier: &CounterSnapshot) -> Vec<CounterDelta> {
-        let mut names: Vec<&str> = self
-            .iter()
-            .map(|(n, _)| n)
-            .chain(earlier.iter().map(|(n, _)| n))
-            .collect();
-        names.sort_unstable();
-        names.dedup();
-        names
-            .into_iter()
-            .filter_map(|name| {
-                let e = earlier.get(name).unwrap_or(0);
-                let l = self.get(name).unwrap_or(0);
-                (e != l).then(|| CounterDelta {
-                    name: name.to_string(),
-                    earlier: e,
-                    later: l,
-                    delta: l as i64 - e as i64,
-                })
-            })
-            .collect()
-    }
-
-    /// True iff no counter moved backwards since `earlier`.
-    pub fn is_monotonic_since(&self, earlier: &CounterSnapshot) -> bool {
-        self.diff(earlier).iter().all(|d| d.delta >= 0)
-    }
 }
 
 #[cfg(test)]
@@ -118,34 +76,6 @@ mod tests {
         assert_eq!(s.get("alpha"), Some(9));
         let names: Vec<&str> = s.iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["alpha", "mid", "zeta"]);
-    }
-
-    #[test]
-    fn diff_reports_only_moved_counters() {
-        let a = snap(&[("reads", 10), ("writes", 5), ("steady", 7)]);
-        let b = snap(&[("reads", 25), ("writes", 5), ("steady", 7), ("gc", 2)]);
-        let d = b.diff(&a);
-        assert_eq!(d.len(), 2);
-        assert_eq!(d[0].name, "gc");
-        assert_eq!((d[0].earlier, d[0].later, d[0].delta), (0, 2, 2));
-        assert_eq!(d[1].name, "reads");
-        assert_eq!(d[1].delta, 15);
-        assert!(b.is_monotonic_since(&a));
-        // Empty diff against itself.
-        assert!(b.diff(&b).is_empty());
-    }
-
-    #[test]
-    fn backwards_movement_is_flagged() {
-        let a = snap(&[("reads", 10)]);
-        let b = snap(&[("reads", 4)]);
-        let d = b.diff(&a);
-        assert_eq!(d[0].delta, -6);
-        assert!(!b.is_monotonic_since(&a));
-        // A vanished counter also reads as a regression to zero.
-        let c = snap(&[]);
-        assert!(!c.is_monotonic_since(&a));
-        assert!(a.is_monotonic_since(&c));
     }
 
     #[test]

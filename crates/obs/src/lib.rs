@@ -1,7 +1,7 @@
 //! # ipu-obs — observability for the IPU simulator stack
 //!
 //! Lightweight span-based wall-clock profiling of the replay hot paths,
-//! monotonic counter snapshots with diffing, and a structured JSONL export.
+//! monotonic counter snapshots, and a structured JSONL export.
 //! Every layer of the stack (`ipu-trace`, `ipu-ftl`, `ipu-sim`, `ipu-host`,
 //! the CLI) opens [`span()`]s around its hot phases; this crate aggregates
 //! *exclusive* (self) time per [`Phase`] so the per-phase breakdown sums to
@@ -34,7 +34,7 @@ pub mod counters;
 pub mod export;
 pub mod span;
 
-pub use counters::{CounterDelta, CounterSnapshot};
+pub use counters::CounterSnapshot;
 pub use export::{events_jsonl, snapshot_jsonl, ObsEvent};
 pub use span::{
     disable, enable, enabled, event, reset, snapshot, span, ObsSnapshot, Phase, PhaseStat, Span,
