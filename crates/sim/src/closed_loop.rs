@@ -85,7 +85,10 @@ pub fn replay_closed_loop_with(
         workloads,
         |req| req.timestamp_ns,
         // The device serves each request at its dispatch time: in a closed
-        // loop it never learns the host wanted to send it earlier.
+        // loop it never learns the host wanted to send it earlier. Kept out
+        // of the host engine's loop: inlined there, the drive made the
+        // closed-loop benchmark workload about 4% slower.
+        #[inline(never)]
         |tenant, seq, dispatch| drive.serve(&workloads[tenant][seq], dispatch),
         |o| {
             let latency = o.completion_ns - o.admit_ns;
