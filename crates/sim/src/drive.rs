@@ -42,8 +42,8 @@ impl<'a> Drive<'a> {
     /// applies the request at once and reads time only from `now`. The event
     /// core then runs every background pulse that starts before `now` and
     /// schedules the request's flash operations.
-    // Inlined into each replay loop: called out of line, it made the
-    // read-dominated open-loop benchmark workload about 10% slower.
+    // Inlined into its callers: called out of line from the open-loop
+    // replay, it made the read-dominated benchmark workload about 10% slower.
     #[inline]
     pub(crate) fn serve(&mut self, req: &IoRequest, now: Nanos) -> Nanos {
         let (dev, batch) = (&mut self.dev, &mut self.batch);
