@@ -102,6 +102,18 @@ impl ParsedArgs {
         self.switches.contains(name)
     }
 
+    /// Names of every flag and switch given, sorted.
+    pub fn given(&self) -> Vec<&str> {
+        let mut names: Vec<&str> = self
+            .flags
+            .keys()
+            .chain(&self.switches)
+            .map(String::as_str)
+            .collect();
+        names.sort_unstable();
+        names
+    }
+
     /// Typed flag value with a default; parse failures are errors.
     pub fn flag_parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ArgError> {
         match self.flags.get(name) {

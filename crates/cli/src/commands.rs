@@ -1,15 +1,19 @@
 //! Command implementations for the `ipu-sim` binary.
 
 use std::fs::File;
+use std::hint::black_box;
 use std::io::BufReader;
+use std::time::{Duration, Instant};
 
-use ipu_core::ftl::SchemeKind;
+use ipu_core::flash::FlashDevice;
+use ipu_core::ftl::{OpBatch, SchemeKind};
 use ipu_core::host::{ArbitrationPolicy, TenantSpec};
 use ipu_core::sim::{replay_with_progress, ReplayConfig, SimReport};
-use ipu_core::trace::{parse_msr_reader, PaperTrace, SplitStrategy};
+use ipu_core::trace::{parse_msr_reader, OpKind, PaperTrace, SplitStrategy};
 use ipu_core::{
-    experiment, report, run_profile, run_qd_sweep_with, ExperimentConfig, ExperimentRecord,
-    QdSweepHostSpec, QdSweepResult, ReplayCache, TraceSet, PAPER_PE_POINTS, PAPER_QD_POINTS,
+    experiment, parallel_map, report, run_profile, run_qd_sweep_with, ExperimentConfig,
+    ExperimentRecord, MatrixResult, QdSweepHostSpec, QdSweepResult, ReplayCache, TraceSet,
+    PAPER_PE_POINTS, PAPER_QD_POINTS,
 };
 
 use crate::args::{ArgError, ParsedArgs};
@@ -23,7 +27,11 @@ USAGE: ipu-sim <command> [options]
 
 COMMANDS
   tables                Regenerate Tables 1 & 3 (trace calibration)
-  figure <N>            Regenerate figure N ∈ {2,5,6,7,8,9,10,11,13,14}
+  figure <N>            Regenerate figure N ∈ {2,5,6,7,8,9,10,11,12,13,14}, or
+                        10b (Figure 10(b) under a pressured MLC region).
+                        Figure 2 takes no options; figure 12 times GC victim
+                        selection on ts0 and takes only --scale, --pe and
+                        --fault-profile
   run                   One (trace, scheme) replay with a detailed report
   sweep                 The §4.5 P/E-cycle sweep (Figures 13 & 14)
   simulate              Closed-loop multi-queue host replay: QD × scheme sweep
@@ -32,7 +40,9 @@ COMMANDS
                         read-retry recovery and bad-block retirement per scheme
                         (defaults to --fault-profile light)
   replay <trace.csv>    Replay a real MSR-format trace file
-  ablate <levels|gc|nop>  Design-choice ablations (DESIGN.md A1–A3)
+  ablate <levels|gc|nop>  Design-choice ablations (DESIGN.md A1–A3) over
+                        --traces: IPU's level count, IPU's GC policy, and the
+                        partial-program limit (nop, also over --schemes)
   figures               Render the main figures as SVG files (--out <dir>)
   profile               Wall-clock phase report: replay with the ipu-obs
                         instrumentation armed, write BENCH_profile.json
@@ -104,6 +114,7 @@ EXAMPLES
   ipu-sim figure 5 --scale 0.25
   ipu-sim run --traces ts0 --schemes ipu --scale 0.1
   ipu-sim replay /data/msr/ts0.csv --schemes ipu
+  ipu-sim figure 12 --scale 0.02
   ipu-sim ablate gc --scale 0.05
   ipu-sim simulate --traces ts0 --queue-depth 1,16 --tenants fg:4:0,bg:1:1 \\
           --arbitration wrr --scale 0.01
@@ -171,6 +182,15 @@ fn cache_line(cache: &ReplayCache) -> String {
         cache.dir().display(),
         cache.stats()
     )
+}
+
+/// Rejects every flag and switch given that `form` (`figure 2`, `figure 12`)
+/// does not take: the command's grammar admits them for its other forms.
+fn only_flags(args: &ParsedArgs, form: &str, allowed: &[&str]) -> Result<(), ArgError> {
+    match args.given().into_iter().find(|n| !allowed.contains(n)) {
+        Some(name) => Err(ArgError(format!("{form} does not take --{name}"))),
+        None => Ok(()),
+    }
 }
 
 /// Applies a named fault profile (and its read-retry ladder) to the device.
@@ -241,38 +261,209 @@ pub fn cmd_figure(args: &ParsedArgs) -> Result<String, ArgError> {
         .first()
         .ok_or_else(|| ArgError("figure needs a number, e.g. `ipu-sim figure 5`".into()))?
         .as_str();
-    if n == "2" {
-        let points: Vec<u32> = (0..=10).map(|i| i * 1000).collect();
-        return Ok(report::render_fig2(&experiment::run_ber_curve(&points)));
+    let render: fn(&MatrixResult) -> String = match n {
+        "2" => {
+            only_flags(args, "figure 2", &[])?;
+            let points: Vec<u32> = (0..=10).map(|i| i * 1000).collect();
+            return Ok(report::render_fig2(&experiment::run_ber_curve(&points)));
+        }
+        "12" => return figure_12(args),
+        "13" | "14" => return cmd_sweep(args),
+        "5" => report::render_fig5,
+        "6" => report::render_fig6,
+        "7" => report::render_fig7,
+        "8" => report::render_fig8,
+        "9" => report::render_fig9,
+        "10" => report::render_fig10,
+        "10b" => render_fig10b,
+        "11" => report::render_fig11,
+        other => {
+            return Err(ArgError(format!(
+                "no figure `{other}` (2, 5..11, 10b, 12, 13, 14)"
+            )))
+        }
+    };
+    let mut cfg = config_from(args)?;
+    if n == "10b" {
+        pressure_mlc_region(&mut cfg)?;
     }
-    let cfg = config_from(args)?;
     let cache = cache_from(args, true)?;
     let traces = TraceSet::generate(&cfg);
-    if n == "13" || n == "14" {
-        let sweep = experiment::run_pe_sweep_with(&cfg, &PAPER_PE_POINTS, &traces, cache.as_ref());
-        maybe_save(args, &cfg, "pe_sweep", sweep.clone())?;
-        let mut text = report::render_pe_sweep(&sweep);
-        if let Some(cache) = &cache {
-            text.push_str(&cache_line(cache));
-        }
-        return Ok(text);
-    }
     let matrix = experiment::run_main_matrix_with(&cfg, &traces, cache.as_ref());
-    let mut text = match n {
-        "5" => report::render_fig5(&matrix),
-        "6" => report::render_fig6(&matrix),
-        "7" => report::render_fig7(&matrix),
-        "8" => report::render_fig8(&matrix),
-        "9" => report::render_fig9(&matrix),
-        "10" => report::render_fig10(&matrix),
-        "11" => report::render_fig11(&matrix),
-        other => return Err(ArgError(format!("no figure `{other}` (2,5..11,13,14)"))),
-    };
+    let mut text = render(&matrix);
     maybe_save(args, &cfg, &format!("fig{n}"), matrix)?;
     if let Some(cache) = &cache {
         text.push_str(&cache_line(cache));
     }
     Ok(text)
+}
+
+/// Figure 10(b)'s MLC-pressure proxy. Under the paper's configuration (a
+/// 128 GiB device, at most 20 GiB of workload) the MLC region never reaches
+/// its GC threshold, so Figure 10 reports no MLC erases. This keeps the SLC
+/// cache at its scaled size but gives each plane only a small MLC region, so
+/// evicted data churns it through GC: the scheme that ejects the least data
+/// to MLC erases the least there.
+fn pressure_mlc_region(cfg: &mut ExperimentConfig) -> Result<(), ArgError> {
+    let slc_per_plane = ((51.2 * cfg.scale).ceil() as u32).max(1);
+    let mlc_per_plane = ((16.0 * cfg.scale).ceil() as u32).max(4);
+    cfg.device.geometry.blocks_per_plane = slc_per_plane + mlc_per_plane;
+    cfg.ftl.slc_ratio = slc_per_plane as f64 / (slc_per_plane + mlc_per_plane) as f64;
+    eprintln!(
+        "figure 10b: per plane {slc_per_plane} SLC + {mlc_per_plane} MLC blocks \
+         (MLC region ≈ {:.1} GiB)",
+        mlc_per_plane as f64 * cfg.device.geometry.total_planes() as f64 * 2.0 / 1024.0
+    );
+    cfg.validate().map_err(ArgError)
+}
+
+/// Figure 10(b): erase counts under [`pressure_mlc_region`].
+fn render_fig10b(m: &MatrixResult) -> String {
+    let rows = m.traces.iter().enumerate().flat_map(|(ti, trace)| {
+        m.schemes.iter().enumerate().map(move |(si, scheme)| {
+            (
+                vec![trace.clone(), scheme.label().to_string()],
+                m.report(ti, si),
+            )
+        })
+    });
+    format!(
+        "Figure 10(b) — erase counts in MLC blocks under a pressured MLC region\n{}\n\
+         Paper's claim: IPU yields the fewest MLC erases (it ejects the least data).\n",
+        metric_table(
+            &["Trace", "Scheme"],
+            &[MLC_ERASES, SLC_ERASES, EVICTED, OVERALL],
+            rows
+        )
+    )
+}
+
+/// A column of a per-report metric table: its header and its cell.
+type Column = (&'static str, fn(&SimReport) -> String);
+
+const OVERALL: Column = ("overall(ms)", |r| {
+    format!("{:.4}", r.overall_latency.mean_ms())
+});
+const WRITE: Column = ("write(ms)", |r| format!("{:.4}", r.write_latency.mean_ms()));
+const READ_ERR: Column = ("read err", |r| format!("{:.3e}", r.read_error_rate()));
+const GC_UTIL: Column = ("GC page util", |r| {
+    format!("{:.1}%", r.gc_page_utilization() * 100.0)
+});
+const SLC_ERASES: Column = ("SLC erases", |r| r.wear.slc_erases.to_string());
+const MLC_ERASES: Column = ("MLC erases", |r| r.wear.mlc_erases.to_string());
+const EVICTED: Column = ("evicted subpages", |r| {
+    r.ftl.gc_evicted_subpages.to_string()
+});
+const INTRA: Column = ("intra-page updates", |r| {
+    r.ftl.intra_page_updates.to_string()
+});
+const UPGRADES: Column = ("upgrades", |r| r.ftl.upgraded_writes.to_string());
+const MLC_HOST: Column = ("MLC host subpages", |r| {
+    r.ftl.host_subpages_to_mlc.to_string()
+});
+
+/// A table with the `lead` columns, then `columns`: one row per (lead
+/// cells, report) of `rows`.
+fn metric_table<'a>(
+    lead: &[&str],
+    columns: &[Column],
+    rows: impl IntoIterator<Item = (Vec<String>, &'a SimReport)>,
+) -> String {
+    let headers: Vec<&str> = lead
+        .iter()
+        .copied()
+        .chain(columns.iter().map(|c| c.0))
+        .collect();
+    let mut t = report::TextTable::new(&headers);
+    for (mut cells, r) in rows {
+        cells.extend(columns.iter().map(|(_, cell)| cell(r)));
+        t.row(cells);
+    }
+    t.render()
+}
+
+/// `ipu-sim figure 12`: the compute cost of GC victim selection. Replays ts0
+/// through IPU until the first SLC GC round has run, so the SLC region holds
+/// the valid/invalid mix and update history a real workload leaves. On that
+/// state it checks the greedy and the Jensen-bounded ISR picks against their
+/// full-scan oracles, then times each. Both picks walk the same list of
+/// in-use SLC blocks, so their ratio is the paper's relative figure.
+fn figure_12(args: &ParsedArgs) -> Result<String, ArgError> {
+    only_flags(args, "figure 12", &["scale", "pe", "fault-profile"])?;
+    let cfg = config_from(args)?;
+    let scale = cfg.scale;
+    let requests = experiment::generate_trace(&cfg, PaperTrace::Ts0);
+    let mut dev = FlashDevice::new(cfg.device);
+    let mut ftl = SchemeKind::Ipu.build(&mut dev, cfg.ftl);
+    let mut batch = OpBatch::new();
+    let mut reached = None;
+    for (n, req) in requests.iter().enumerate() {
+        batch.clear();
+        match req.op {
+            OpKind::Write => ftl.on_write_into(req, req.timestamp_ns, &mut dev, &mut batch),
+            OpKind::Read => ftl.on_read_into(req, req.timestamp_ns, &mut dev, &mut batch),
+        }
+        if ftl.core().stats.gc_runs_slc > 0 {
+            reached = Some((req.timestamp_ns, n + 1));
+            break;
+        }
+    }
+    let (now, replayed) = reached.ok_or_else(|| {
+        ArgError(format!(
+            "ts0 at scale {scale} never ran SLC GC, so figure 12 has no state to time; \
+             raise --scale"
+        ))
+    })?;
+    let slc_blocks = ftl.core().meta.slc_blocks().count();
+    let picks = (
+        ftl.core_mut().select_slc_victim_isr(&dev, now),
+        ftl.core().select_slc_victim_greedy(&dev),
+    );
+    let oracles = (
+        ftl.core().oracle_slc_victim_isr(&dev, now),
+        ftl.core().oracle_slc_victim_greedy(&dev),
+    );
+    if picks != oracles {
+        return Err(ArgError(format!(
+            "victim picks (ISR, greedy) {picks:?} differ from the full-scan oracles' {oracles:?}"
+        )));
+    }
+
+    let greedy = mean_time(20_000, || {
+        black_box(ftl.core().select_slc_victim_greedy(&dev));
+    });
+    let isr = mean_time(2_000, || {
+        black_box(ftl.core_mut().select_slc_victim_isr(&dev, now));
+    });
+    let oracle = mean_time(20, || {
+        black_box(ftl.core().oracle_slc_victim_isr(&dev, now));
+    });
+    let lines = [
+        format!(
+            "Figure 12 — GC victim-selection compute overhead (ts0 at scale {scale}, \
+             {slc_blocks} SLC blocks, state after the first SLC GC round)"
+        ),
+        format!("  requests to first SLC GC round  : {replayed}"),
+        format!("  Baseline greedy (scan)          : {greedy:?} per selection"),
+        format!("  IPU ISR (Jensen-bounded)        : {isr:?} per selection"),
+        format!(
+            "  ISR extra cost                  : {:?} per selection, {:+.1}% of greedy  \
+             (paper: +1.2%, both < 2.48 ms)",
+            isr.saturating_sub(greedy),
+            (isr.as_secs_f64() / greedy.as_secs_f64() - 1.0) * 100.0
+        ),
+        format!("  reference: ISR full-scan oracle : {oracle:?} per selection (same victim)"),
+    ];
+    Ok(lines.join("\n"))
+}
+
+/// Mean wall time of `f` over `n` calls.
+fn mean_time(n: u32, mut f: impl FnMut()) -> Duration {
+    let t0 = Instant::now();
+    for _ in 0..n {
+        f();
+    }
+    t0.elapsed() / n
 }
 
 /// `ipu-sim run`
@@ -609,7 +800,9 @@ pub fn cmd_replay(args: &ParsedArgs) -> Result<String, ArgError> {
     Ok(detailed_report(&r))
 }
 
-/// `ipu-sim ablate <levels|gc|nop>`
+/// `ipu-sim ablate <levels|gc|nop>`: the design-choice ablations (DESIGN.md
+/// A1–A3), one table row per trace × scheme × setting. `levels` and `gc`
+/// vary IPU's own policy, so they run IPU only; `nop` runs over --schemes.
 pub fn cmd_ablate(args: &ParsedArgs) -> Result<String, ArgError> {
     let which = args
         .positionals
@@ -617,67 +810,88 @@ pub fn cmd_ablate(args: &ParsedArgs) -> Result<String, ArgError> {
         .ok_or_else(|| ArgError("ablate needs one of: levels, gc, nop".into()))?
         .as_str();
     let base = config_from(args)?;
+    let variant = |label: &str, set: &dyn Fn(&mut ExperimentConfig)| {
+        let mut cfg = base.clone();
+        set(&mut cfg);
+        (label.to_string(), cfg)
+    };
+    let (title, setting, variants, columns): (_, _, Vec<_>, &[Column]) = match which {
+        "levels" => (
+            "Ablation A1 — SLC cache level-count sensitivity (IPU)",
+            "max level",
+            [1u8, 2, 3]
+                .iter()
+                .map(|&l| variant(&l.to_string(), &|c| c.ftl.ipu_max_level = l))
+                .collect(),
+            &[OVERALL, WRITE, INTRA, UPGRADES, MLC_HOST],
+        ),
+        "gc" => (
+            "Ablation A2 — ISR vs greedy GC victim selection inside IPU",
+            "GC policy",
+            [("ISR (paper)", true), ("greedy", false)]
+                .iter()
+                .map(|&(l, isr)| variant(l, &|c| c.ftl.ipu_use_isr_gc = isr))
+                .collect(),
+            &[OVERALL, READ_ERR, SLC_ERASES, EVICTED, GC_UTIL],
+        ),
+        "nop" => (
+            "Ablation A3 — partial-program (NOP) budget sensitivity",
+            "NOP limit",
+            [1u8, 2, 4]
+                .iter()
+                .map(|&l| variant(&l.to_string(), &|c| c.device.max_partial_programs = l))
+                .collect(),
+            &[OVERALL, READ_ERR, GC_UTIL, SLC_ERASES],
+        ),
+        other => return Err(ArgError(format!("unknown ablation `{other}`"))),
+    };
+    let over_schemes = which == "nop";
+    if !over_schemes && args.flag("schemes").is_some() {
+        return Err(ArgError(format!(
+            "ablate {which} varies IPU's own policy; it does not take --schemes"
+        )));
+    }
+    let schemes = if over_schemes {
+        base.schemes.clone()
+    } else {
+        vec![SchemeKind::Ipu]
+    };
     let cache = cache_from(args, false)?;
-    let cache = cache.as_ref();
     // The ablations vary FTL/device knobs, never the traces — one generation
     // serves every variant.
     let traces = TraceSet::generate(&base);
-    let mut out = String::new();
-    match which {
-        "levels" => {
-            for max_level in [1u8, 2, 3] {
-                let mut cfg = base.clone();
-                cfg.ftl.ipu_max_level = max_level;
-                for &trace in &cfg.traces {
-                    let r = experiment::run_one_with(&cfg, trace, SchemeKind::Ipu, &traces, cache);
-                    out.push_str(&format!(
-                        "{} levels≤{}: overall {:.4} ms, intra {}, upgrades {}\n",
-                        trace.name(),
-                        max_level,
-                        r.overall_latency.mean_ms(),
-                        r.ftl.intra_page_updates,
-                        r.ftl.upgraded_writes
-                    ));
-                }
+    let cells: Vec<_> = base
+        .traces
+        .iter()
+        .flat_map(|&t| schemes.iter().map(move |&s| (t, s)))
+        .flat_map(|(t, s)| variants.iter().map(move |v| (t, s, v)))
+        .collect();
+    let reports = parallel_map(
+        cells.clone(),
+        base.effective_threads(),
+        |(t, s, (_, cfg))| experiment::run_one_with(cfg, t, s, &traces, cache.as_ref()),
+    );
+
+    let lead: &[&str] = if over_schemes {
+        &["Trace", "Scheme", setting]
+    } else {
+        &["Trace", setting]
+    };
+    let rows = cells
+        .iter()
+        .zip(&reports)
+        .map(|((trace, scheme, (label, _)), r)| {
+            let mut row = vec![trace.name().to_string(), label.clone()];
+            if over_schemes {
+                row.insert(1, scheme.label().to_string());
             }
-        }
-        "gc" => {
-            for (label, isr) in [("isr", true), ("greedy", false)] {
-                let mut cfg = base.clone();
-                cfg.ftl.ipu_use_isr_gc = isr;
-                for &trace in &cfg.traces {
-                    let r = experiment::run_one_with(&cfg, trace, SchemeKind::Ipu, &traces, cache);
-                    out.push_str(&format!(
-                        "{} gc={label}: overall {:.4} ms, evicted {}, SLC erases {}\n",
-                        trace.name(),
-                        r.overall_latency.mean_ms(),
-                        r.ftl.gc_evicted_subpages,
-                        r.wear.slc_erases
-                    ));
-                }
-            }
-        }
-        "nop" => {
-            for limit in [1u8, 2, 4] {
-                let mut cfg = base.clone();
-                cfg.device.max_partial_programs = limit;
-                for &trace in &cfg.traces {
-                    for &scheme in &cfg.schemes {
-                        let r = experiment::run_one_with(&cfg, trace, scheme, &traces, cache);
-                        out.push_str(&format!(
-                            "{} {} nop={limit}: overall {:.4} ms, util {:.1}%\n",
-                            trace.name(),
-                            scheme.label(),
-                            r.overall_latency.mean_ms(),
-                            r.gc_page_utilization() * 100.0
-                        ));
-                    }
-                }
-            }
-        }
-        other => return Err(ArgError(format!("unknown ablation `{other}`"))),
+            (row, r)
+        });
+    let mut text = format!("{title}\n{}", metric_table(lead, columns, rows));
+    if let Some(cache) = &cache {
+        text.push_str(&cache_line(cache));
     }
-    Ok(out)
+    Ok(text)
 }
 
 /// `ipu-sim fleet`: the sharded multi-device serving simulation. Default
@@ -870,26 +1084,17 @@ pub fn cmd_fleet(args: &ParsedArgs) -> Result<String, ArgError> {
 mod tests {
     use super::*;
 
-    fn parsed(s: &str, flags: &[&str]) -> ParsedArgs {
-        ParsedArgs::parse(s.split_whitespace().map(str::to_string), flags).unwrap()
+    /// Parses `s` with its command's real grammar.
+    fn parsed(s: &str) -> ParsedArgs {
+        let command = s.split_whitespace().next().unwrap();
+        let (flags, switches) = crate::command_grammar(command).unwrap();
+        ParsedArgs::parse_with_switches(s.split_whitespace().map(str::to_string), &flags, &switches)
+            .unwrap()
     }
-
-    const COMMON: &[&str] = &[
-        "scale",
-        "traces",
-        "schemes",
-        "pe",
-        "threads",
-        "save",
-        "fault-profile",
-    ];
 
     #[test]
     fn config_respects_flags() {
-        let p = parsed(
-            "run --scale 0.01 --traces ts0,lun2 --schemes ipu --pe 8000",
-            COMMON,
-        );
+        let p = parsed("run --scale 0.01 --traces ts0,lun2 --schemes ipu --pe 8000");
         let cfg = config_from(&p).unwrap();
         assert_eq!(cfg.scale, 0.01);
         assert_eq!(cfg.traces, vec![PaperTrace::Ts0, PaperTrace::Lun2]);
@@ -899,31 +1104,28 @@ mod tests {
 
     #[test]
     fn config_rejects_nonsense() {
-        assert!(config_from(&parsed("run --scale 2.0", COMMON)).is_err());
-        assert!(config_from(&parsed("run --traces nosuch", COMMON)).is_err());
-        assert!(config_from(&parsed("run --schemes nosuch", COMMON)).is_err());
-        assert!(config_from(&parsed("run --pe pony", COMMON)).is_err());
-        assert!(config_from(&parsed("run --pe 21000", COMMON)).is_err());
-        assert!(config_from(&parsed("run --fault-profile pony", COMMON)).is_err());
+        assert!(config_from(&parsed("run --scale 2.0")).is_err());
+        assert!(config_from(&parsed("run --traces nosuch")).is_err());
+        assert!(config_from(&parsed("run --schemes nosuch")).is_err());
+        assert!(config_from(&parsed("run --pe pony")).is_err());
+        assert!(config_from(&parsed("run --pe 21000")).is_err());
+        assert!(config_from(&parsed("run --fault-profile pony")).is_err());
     }
 
     #[test]
     fn fault_profile_arms_injection_and_retry() {
-        let cfg = config_from(&parsed("run --fault-profile light", COMMON)).unwrap();
+        let cfg = config_from(&parsed("run --fault-profile light")).unwrap();
         assert!(!cfg.device.fault.is_inert());
         assert!(!cfg.device.retry.steps.is_empty());
         // Default stays the pre-fault-model device.
-        let cfg = config_from(&parsed("run", COMMON)).unwrap();
+        let cfg = config_from(&parsed("run")).unwrap();
         assert!(cfg.device.fault.is_inert());
         assert!(cfg.device.retry.steps.is_empty());
     }
 
     #[test]
     fn tiny_reliability_run_reports_recovery() {
-        let p = parsed(
-            "reliability --scale 0.002 --traces lun2 --threads 1",
-            COMMON,
-        );
+        let p = parsed("reliability --scale 0.002 --traces lun2 --threads 1");
         let text = cmd_reliability(&p).unwrap();
         assert!(text.contains("Reliability"));
         assert!(text.contains("recovered"));
@@ -932,7 +1134,7 @@ mod tests {
 
     #[test]
     fn figure_2_runs_instantly() {
-        let p = parsed("figure 2", COMMON);
+        let p = parsed("figure 2");
         let text = cmd_figure(&p).unwrap();
         assert!(text.contains("Figure 2"));
         assert!(text.contains("4000"));
@@ -940,44 +1142,24 @@ mod tests {
 
     #[test]
     fn unknown_figure_is_an_error() {
-        let p = parsed("figure 42 --scale 0.001", COMMON);
+        let p = parsed("figure 42 --scale 0.001");
         assert!(cmd_figure(&p).is_err());
     }
 
     #[test]
     fn tiny_run_produces_detailed_report() {
-        let p = parsed(
-            "run --scale 0.001 --traces lun2 --schemes ipu --threads 1",
-            COMMON,
-        );
+        let p = parsed("run --scale 0.001 --traces lun2 --schemes ipu --threads 1");
         let text = cmd_run(&p).unwrap();
         assert!(text.contains("IPU on lun2"));
         assert!(text.contains("read error rate"));
         assert!(text.contains("mapping table"));
     }
 
-    const SIMULATE: &[&str] = &[
-        "scale",
-        "traces",
-        "schemes",
-        "pe",
-        "threads",
-        "save",
-        "queue-depth",
-        "tenants",
-        "arbitration",
-        "dispatch-overhead",
-        "split",
-        "fault-profile",
-        "out",
-    ];
-
     #[test]
     fn tiny_simulate_reports_every_tenant() {
         let p = parsed(
             "simulate --scale 0.001 --traces lun2 --schemes ipu --queue-depth 2 \
              --tenants alpha,beta --threads 1",
-            SIMULATE,
         );
         let text = cmd_simulate(&p).unwrap();
         assert!(text.contains("Queue-depth sweep"));
@@ -991,14 +1173,11 @@ mod tests {
     fn simulate_out_writes_tail_latency_svg() {
         let dir = std::env::temp_dir().join("ipu_cli_qd_svg_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let p = parsed(
-            &format!(
-                "simulate --scale 0.001 --traces lun2 --schemes ipu \
-                 --queue-depth 1,4 --threads 1 --out {}",
-                dir.display()
-            ),
-            SIMULATE,
-        );
+        let p = parsed(&format!(
+            "simulate --scale 0.001 --traces lun2 --schemes ipu \
+             --queue-depth 1,4 --threads 1 --out {}",
+            dir.display()
+        ));
         let text = cmd_simulate(&p).unwrap();
         let svg_path = dir.join("qd_sweep_lun2.svg");
         assert!(text.contains("qd_sweep_lun2.svg"));
@@ -1017,23 +1196,9 @@ mod tests {
             "simulate --scale 0.001 --split hash",
             "simulate --scale 0.001 --tenants a:0",
         ] {
-            assert!(
-                cmd_simulate(&parsed(bad, SIMULATE)).is_err(),
-                "`{bad}` must fail"
-            );
+            assert!(cmd_simulate(&parsed(bad)).is_err(), "`{bad}` must fail");
         }
     }
-
-    const PROFILE: &[&str] = &[
-        "scale",
-        "traces",
-        "schemes",
-        "pe",
-        "threads",
-        "out",
-        "events",
-        "fault-profile",
-    ];
 
     #[test]
     fn tiny_profile_writes_benchmark_json_and_events() {
@@ -1041,15 +1206,12 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("BENCH_profile.json");
         let events = dir.join("events.jsonl");
-        let p = parsed(
-            &format!(
-                "profile --scale 0.002 --traces ts0 --schemes ipu --threads 1 \
-                 --out {} --events {}",
-                out.display(),
-                events.display()
-            ),
-            PROFILE,
-        );
+        let p = parsed(&format!(
+            "profile --scale 0.002 --traces ts0 --schemes ipu --threads 1 \
+             --out {} --events {}",
+            out.display(),
+            events.display()
+        ));
         let text = cmd_profile(&p).unwrap();
         assert!(text.contains("Phase breakdown"));
         assert!(text.contains("ops/sec"));
@@ -1073,13 +1235,10 @@ mod tests {
         let dir = std::env::temp_dir().join("ipu_cli_scorecard_test");
         std::fs::create_dir_all(&dir).unwrap();
         let save = dir.join("scorecard.json");
-        let p = parsed(
-            &format!(
-                "scorecard --scale 0.01 --traces ts0 --threads 1 --save {}",
-                save.display()
-            ),
-            COMMON,
-        );
+        let p = parsed(&format!(
+            "scorecard --scale 0.01 --traces ts0 --threads 1 --save {}",
+            save.display()
+        ));
         let text = cmd_scorecard(&p).unwrap();
         assert!(text.contains("scorecard"));
         assert!(text.contains("REPRODUCED"));
@@ -1092,24 +1251,17 @@ mod tests {
         assert!(json.contains("Reproduced"));
     }
 
-    fn parsed_with_switches(s: &str, flags: &[&str], switches: &[&str]) -> ParsedArgs {
-        ParsedArgs::parse_with_switches(s.split_whitespace().map(str::to_string), flags, switches)
-            .unwrap()
-    }
-
     #[test]
     fn figure_caches_replays_across_invocations() {
         let dir = std::env::temp_dir().join(format!("ipu_cli_cache_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut flags = COMMON.to_vec();
-        flags.push("cache-dir");
         let argv = format!(
             "figure 5 --scale 0.002 --traces lun2 --schemes ipu --threads 1 --cache-dir {}",
             dir.display()
         );
         // First run simulates and fills the cache; second serves every cell
         // from disk and renders the identical figure.
-        let p = parsed_with_switches(&argv, &flags, &["cache", "no-cache"]);
+        let p = parsed(&argv);
         let cold = cmd_figure(&p).unwrap();
         assert!(
             cold.contains("misses"),
@@ -1121,11 +1273,7 @@ mod tests {
         assert_eq!(strip(&cold), strip(&warm));
 
         // --no-cache wins over a default-on command.
-        let p = parsed_with_switches(
-            "figure 5 --scale 0.002 --traces lun2 --schemes ipu --threads 1 --no-cache",
-            COMMON,
-            &["cache", "no-cache"],
-        );
+        let p = parsed("figure 5 --scale 0.002 --traces lun2 --schemes ipu --threads 1 --no-cache");
         let off = cmd_figure(&p).unwrap();
         assert!(!off.contains("replay cache"));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1133,58 +1281,122 @@ mod tests {
 
     #[test]
     fn conflicting_cache_switches_error() {
-        let p = parsed_with_switches(
-            "figure 5 --scale 0.002 --cache --no-cache",
-            COMMON,
-            &["cache", "no-cache"],
-        );
+        let p = parsed("figure 5 --scale 0.002 --cache --no-cache");
         assert!(cmd_figure(&p).is_err());
     }
 
     #[test]
     fn ablate_rejects_unknown_kind() {
-        let p = parsed("ablate nosuch --scale 0.001", COMMON);
+        let p = parsed("ablate nosuch --scale 0.001");
         assert!(cmd_ablate(&p).is_err());
+    }
+
+    /// Table rows of `text`: lines that start with one of `traces`.
+    fn table_rows(text: &str, traces: &[&str]) -> usize {
+        text.lines()
+            .filter(|l| traces.iter().any(|t| l.starts_with(&format!("{t} "))))
+            .count()
+    }
+
+    #[test]
+    fn each_ablation_prints_a_row_per_trace_and_setting() {
+        for (argv, rows) in [
+            ("ablate levels", 2 * 3),
+            ("ablate gc", 2 * 2),
+            ("ablate nop --schemes mga,ipu", 2 * 2 * 3),
+        ] {
+            let p = parsed(&format!(
+                "{argv} --scale 0.001 --traces lun2,ts0 --threads 2"
+            ));
+            let text = cmd_ablate(&p).unwrap();
+            assert_eq!(table_rows(&text, &["lun2", "ts0"]), rows, "{argv}:\n{text}");
+        }
+    }
+
+    #[test]
+    fn ipu_ablations_reject_schemes() {
+        for kind in ["levels", "gc"] {
+            let p = parsed(&format!("ablate {kind} --scale 0.001 --schemes mga"));
+            let err = cmd_ablate(&p).unwrap_err();
+            assert!(err.0.contains("--schemes"), "{err}");
+        }
+    }
+
+    #[test]
+    fn figure_2_rejects_config_flags() {
+        let err = cmd_figure(&parsed("figure 2 --scale 7 --traces bogus")).unwrap_err();
+        assert!(err.0.contains("figure 2 does not take --scale"), "{err}");
+    }
+
+    #[test]
+    fn figure_2_rejects_save() {
+        let save = std::env::temp_dir().join(format!("ipu_cli_f2_{}.json", std::process::id()));
+        let p = parsed(&format!("figure 2 --save {}", save.display()));
+        let err = cmd_figure(&p).unwrap_err();
+        assert!(err.0.contains("--save"), "{err}");
+        assert!(!save.exists());
+    }
+
+    #[test]
+    fn figure_10b_prints_a_row_per_trace_and_scheme() {
+        let p = parsed(
+            "figure 10b --scale 0.002 --traces lun2,ts0 --schemes mga,ipu --threads 2 --no-cache",
+        );
+        let text = cmd_figure(&p).unwrap();
+        assert!(text.contains("Figure 10(b)"), "{text}");
+        assert!(text.contains("MLC erases"), "{text}");
+        assert_eq!(table_rows(&text, &["lun2", "ts0"]), 4, "{text}");
+    }
+
+    #[test]
+    fn figure_12_checks_and_times_victim_selection() {
+        // Both picks must match their full-scan oracles, or this errors.
+        let text = cmd_figure(&parsed("figure 12 --scale 0.005")).unwrap();
+        assert!(
+            text.contains(" SLC blocks, state after the first SLC GC round"),
+            "{text}"
+        );
+        assert!(text.contains("requests to first SLC GC round"), "{text}");
+        assert!(text.contains("IPU ISR (Jensen-bounded)"), "{text}");
+    }
+
+    #[test]
+    fn figure_12_without_slc_gc_is_an_error() {
+        let err = cmd_figure(&parsed("figure 12 --scale 0.002")).unwrap_err();
+        assert!(err.0.contains("never ran SLC GC"), "{err}");
+    }
+
+    #[test]
+    fn figure_12_rejects_flags_it_cannot_honour() {
+        for flag in [
+            "--traces ts0",
+            "--schemes ipu",
+            "--save f12.json",
+            "--threads 2",
+            "--cache",
+            "--no-cache",
+            "--cache-dir c",
+        ] {
+            let p = parsed(&format!("figure 12 --scale 0.005 {flag}"));
+            let err = cmd_figure(&p).unwrap_err();
+            let name = flag.split_whitespace().next().unwrap();
+            assert!(err.0.contains(name), "{flag}: {err}");
+        }
     }
 
     #[test]
     fn replay_requires_a_path() {
-        let p = parsed("replay", COMMON);
+        let p = parsed("replay");
         assert!(cmd_replay(&p).is_err());
-        let p = parsed("replay /definitely/missing.csv", COMMON);
+        let p = parsed("replay /definitely/missing.csv");
         assert!(cmd_replay(&p).is_err());
     }
 
-    const FLEET: &[&str] = &[
-        "scale",
-        "traces",
-        "schemes",
-        "pe",
-        "threads",
-        "save",
-        "fault-profile",
-        "devices",
-        "policy",
-        "queue-depth",
-        "arbitration",
-        "slo-p99-ms",
-        "max-tenants",
-        "tenants",
-        "replication",
-        "fault-plan",
-        "faulty",
-        "out",
-        "from",
-        "cache-dir",
-    ];
-
     #[test]
     fn tiny_fixed_fleet_reports_every_scheme() {
-        let p = parsed_with_switches(
+        let p = parsed(
             "fleet --scale 0.002 --traces ts0 --schemes baseline,ipu --tenants 4 \
              --devices 2 --queue-depth 2 --threads 1 --no-cache",
-            FLEET,
-            &["cache", "no-cache"],
         );
         let text = cmd_fleet(&p).unwrap();
         assert!(text.contains("fleet ts0 / Baseline [hash]"), "{text}");
@@ -1201,26 +1413,22 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let save = dir.join("fleet.json");
         // A generous SLO so the tiny search saturates at the 4-tenant cap.
-        let p = parsed_with_switches(
-            &format!(
-                "fleet --scale 0.002 --traces ts0 --schemes ipu --devices 2 \
+        let p = parsed(&format!(
+            "fleet --scale 0.002 --traces ts0 --schemes ipu --devices 2 \
                  --max-tenants 4 --slo-p99-ms 10000 --threads 1 --no-cache --save {}",
-                save.display()
-            ),
-            FLEET,
-            &["cache", "no-cache"],
-        );
+            save.display()
+        ));
         let text = cmd_fleet(&p).unwrap();
         assert!(text.contains("max tenants"), "{text}");
         assert!(text.contains("4"), "{text}");
 
         // --from replots the saved run without simulating.
         let figs = dir.join("figs");
-        let p = parsed_with_switches(
-            &format!("fleet --from {} --out {}", save.display(), figs.display()),
-            FLEET,
-            &["cache", "no-cache"],
-        );
+        let p = parsed(&format!(
+            "fleet --from {} --out {}",
+            save.display(),
+            figs.display()
+        ));
         let text = cmd_fleet(&p).unwrap();
         assert!(text.contains("fleet_capacity.svg"), "{text}");
         assert!(text.contains("fleet_load_ts0.svg"), "{text}");
@@ -1231,12 +1439,10 @@ mod tests {
     fn degraded_fleet_search_pairs_healthy_and_faulted_capacity() {
         // 2 devices = 1 mirror pair; a generous SLO keeps both searches at
         // the 2-tenant cap fast.
-        let p = parsed_with_switches(
+        let p = parsed(
             "fleet --scale 0.002 --traces ts0 --schemes ipu --devices 2 \
              --max-tenants 2 --slo-p99-ms 10000 --threads 1 --no-cache \
              --faulty 1 --replication mirror-pair",
-            FLEET,
-            &["cache", "no-cache"],
         );
         let text = cmd_fleet(&p).unwrap();
         assert!(text.contains("max tenants"), "{text}");
@@ -1249,12 +1455,10 @@ mod tests {
 
     #[test]
     fn faulted_fixed_fleet_reports_the_reliability_ledger() {
-        let p = parsed_with_switches(
+        let p = parsed(
             "fleet --scale 0.002 --traces ts0 --schemes ipu --tenants 4 \
              --devices 2 --threads 1 --no-cache \
              --fault-plan failstop:1@0.5 --replication mirror-pair",
-            FLEET,
-            &["cache", "no-cache"],
         );
         let text = cmd_fleet(&p).unwrap();
         assert!(text.contains("faults failstop:1@0.50"), "{text}");
@@ -1279,10 +1483,7 @@ mod tests {
             "fleet --scale 0.002 --tenants 4 --faulty 1",
             "fleet --from /definitely/missing.json",
         ] {
-            assert!(
-                cmd_fleet(&parsed_with_switches(bad, FLEET, &["cache", "no-cache"])).is_err(),
-                "`{bad}` must fail"
-            );
+            assert!(cmd_fleet(&parsed(bad)).is_err(), "`{bad}` must fail");
         }
     }
 }

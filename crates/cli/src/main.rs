@@ -31,7 +31,9 @@ const CACHE_SWITCHES: &[&str] = &["cache", "no-cache"];
 
 /// The exact flag/switch grammar of one command. A flag a command would
 /// silently ignore is *not* listed, so `ipu-sim tables --queue-depth 8`
-/// fails loudly instead of running without the option.
+/// fails loudly instead of running without the option. A form of a command
+/// that takes fewer (`figure 2`, `figure 12`, `ablate levels`) rejects the
+/// rest itself.
 fn command_grammar(command: &str) -> Option<(Vec<&'static str>, Vec<&'static str>)> {
     let mut flags: Vec<&'static str> = CONFIG_FLAGS.to_vec();
     let mut switches: Vec<&'static str> = Vec::new();
@@ -40,7 +42,8 @@ fn command_grammar(command: &str) -> Option<(Vec<&'static str>, Vec<&'static str
         switches.extend_from_slice(CACHE_SWITCHES);
     };
     match command {
-        "tables" => flags.push("save"),
+        // Tables 1 and 3 describe the traces; nothing is replayed.
+        "tables" => flags = vec!["scale", "traces", "threads", "save"],
         "figure" | "sweep" | "scorecard" | "reliability" => {
             flags.push("save");
             with_cache(&mut flags, &mut switches);
@@ -176,6 +179,15 @@ mod tests {
         // Misspelled flags fail the same way on any command.
         assert!(parse("figure 5 --sclae 0.1").is_err());
         assert!(parse("profile --save out.json").is_err());
+    }
+
+    #[test]
+    fn tables_rejects_replay_flags() {
+        for flag in ["--schemes mga", "--pe 8000", "--fault-profile heavy"] {
+            let err = parse(&format!("tables {flag}")).unwrap_err();
+            let name = flag.split_whitespace().next().unwrap();
+            assert!(err.0.contains(&format!("unknown flag {name}")), "{err}");
+        }
     }
 
     #[test]

@@ -58,8 +58,7 @@ impl ExperimentConfig {
         Self::default()
     }
 
-    /// Scaled-down run preserving all calibrated ratios. Benches default to
-    /// this via the `IPU_BENCH_SCALE` environment variable.
+    /// Scaled-down run preserving all calibrated ratios (`ipu-sim --scale`).
     ///
     /// Both the request counts *and* the device (blocks per plane, hence the
     /// SLC cache size) scale together, so the writes-to-cache-capacity ratio —
@@ -72,23 +71,6 @@ impl ExperimentConfig {
             ..Self::default()
         };
         cfg.device.geometry.blocks_per_plane = ((1024.0 * scale).round() as u32).clamp(16, 1024);
-        cfg
-    }
-
-    /// Reads the run scale from `IPU_BENCH_SCALE` (default `default_scale`).
-    pub fn from_env(default_scale: f64) -> Self {
-        let scale = std::env::var("IPU_BENCH_SCALE")
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .unwrap_or(default_scale)
-            .clamp(0.0005, 1.0);
-        let mut cfg = Self::scaled(scale);
-        if let Some(threads) = std::env::var("IPU_BENCH_THREADS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-        {
-            cfg.threads = threads;
-        }
         cfg
     }
 

@@ -72,18 +72,10 @@ pub fn run_one_with(
     replay_cell(cfg, trace, scheme, &traces.get(trace), cache)
 }
 
-/// The full trace × scheme matrix, run with the configured parallelism.
-/// `result[t][s]` corresponds to `cfg.traces[t]`, `cfg.schemes[s]`.
-///
-/// Generates each trace once (see [`TraceSet`]); use [`run_matrix_with`] to
-/// share pre-generated streams across several matrices or enable the replay
-/// cache.
-pub fn run_matrix(cfg: &ExperimentConfig) -> Vec<Vec<SimReport>> {
-    run_matrix_with(cfg, &TraceSet::generate(cfg), None)
-}
-
-/// [`run_matrix`] over pre-generated shared streams, optionally served from
-/// (and filling) an on-disk [`ReplayCache`].
+/// The full trace × scheme matrix over pre-generated shared streams, run
+/// with the configured parallelism and optionally served from (and filling)
+/// an on-disk [`ReplayCache`]. `result[t][s]` corresponds to
+/// `cfg.traces[t]`, `cfg.schemes[s]`.
 pub fn run_matrix_with(
     cfg: &ExperimentConfig,
     traces: &TraceSet,

@@ -37,9 +37,9 @@ pub use cache::{CacheStats, ReplayCache, CACHE_SCHEMA_VERSION};
 pub use charts::{chart_matrix, BarChart};
 pub use config::ExperimentConfig;
 pub use experiment::{
-    run_ber_curve, run_main_matrix, run_main_matrix_with, run_matrix, run_matrix_with, run_one,
-    run_one_with, run_pe_sweep, run_pe_sweep_with, run_trace_tables, run_trace_tables_with,
-    scaled_spec, MatrixResult, PeSweepResult, PAPER_PE_POINTS,
+    run_ber_curve, run_main_matrix, run_main_matrix_with, run_matrix_with, run_one, run_one_with,
+    run_pe_sweep, run_pe_sweep_with, run_trace_tables, run_trace_tables_with, scaled_spec,
+    MatrixResult, PeSweepResult, PAPER_PE_POINTS,
 };
 pub use parallel::{default_threads, parallel_map};
 pub use profile::{run_profile, BenchProfile, PhaseWall, RunProfile};

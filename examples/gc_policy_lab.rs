@@ -1,20 +1,18 @@
 //! GC policy laboratory: watch the paper's ISR victim-selection policy
-//! (Equations 1–2) at work, then compare IPU end-to-end under ISR vs greedy
-//! victim selection.
+//! (Equations 1–2) at work on the Figure 4(a) example. IPU end to end under
+//! ISR vs greedy victim selection is `ipu-sim ablate gc`.
 //!
 //! ```text
-//! cargo run --release --example gc_policy_lab [-- <scale>]
+//! cargo run --release --example gc_policy_lab
 //! ```
 
 use ipu_core::flash::{BlockAddr, CellMode, DeviceConfig, FlashDevice, Spa};
-use ipu_core::ftl::{isr_score, SchemeKind, SubTag};
-use ipu_core::trace::PaperTrace;
-use ipu_core::{experiment, ExperimentConfig};
+use ipu_core::ftl::{isr_score, SubTag};
 
 /// Reconstructs the paper's Figure 4(a) example: candidate A holds recently
 /// updated (hot) data, candidate B equally many invalid subpages but old cold
 /// data — ISR must pick B.
-fn figure4_example() {
+fn main() {
     println!("— Figure 4(a) worked example —");
     let mut dev = FlashDevice::new(DeviceConfig::small_for_tests());
     let g = dev.config().geometry.clone();
@@ -56,32 +54,7 @@ fn figure4_example() {
     println!("  candidate A (hot, updated):   ISR = {isr_a:.3}  (paper: 6/16 = 0.375)");
     println!("  candidate B (cold, aged):     ISR = {isr_b:.3}  (paper: ≈6.9/16 = 0.431)");
     println!(
-        "  → GC selects candidate {} (paper selects B)\n",
+        "  → GC selects candidate {} (paper selects B)",
         if isr_b > isr_a { "B" } else { "A" }
     );
-}
-
-fn end_to_end(scale: f64) {
-    println!("— End-to-end: IPU under ISR vs greedy victim selection ({scale} scale, ts0) —");
-    for (label, use_isr) in [("ISR (paper)", true), ("greedy", false)] {
-        let mut cfg = ExperimentConfig::scaled(scale);
-        cfg.ftl.ipu_use_isr_gc = use_isr;
-        let r = experiment::run_one(&cfg, PaperTrace::Ts0, SchemeKind::Ipu);
-        println!(
-            "  {label:<12}: overall {:.4} ms | evicted {:>7} subpages | SLC erases {:>5} | util {:.1}%",
-            r.overall_latency.mean_ms(),
-            r.ftl.gc_evicted_subpages,
-            r.wear.slc_erases,
-            r.gc_page_utilization() * 100.0
-        );
-    }
-}
-
-fn main() {
-    let scale: f64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.02);
-    figure4_example();
-    end_to_end(scale);
 }
